@@ -6,8 +6,8 @@ instances and, for ``n_cores > 1``, a :class:`SharedChipBus` whose
 ``hierarchy.chip_port``.  Cores only interact through that bus, and the
 bus schedules grants by *occupancy* (earliest feasible future slot, the
 same idiom as the per-core DRAM bus), so the chip can step its cores in
-coarse quanta without changing any result: a core fast-forwarding
-through quiet cycles books bus slots at decode time exactly as a
+coarse quanta without changing any result: a core telescoping
+through quiet periods books bus slots at decode time exactly as a
 per-cycle core would.
 
 For ``n_cores == 1`` no bus is built and ``step`` delegates whole cycle

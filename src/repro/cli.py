@@ -72,10 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for sweep cells: 1 = serial (default), "
              "0 = all cores; results are identical regardless")
     parser.add_argument(
-        "--reference", action="store_true",
-        help="disable event-driven fast-forwarding (slower, "
-             "bit-identical results; for validation)")
-    parser.add_argument(
         "--engine", choices=("array", "object"), default=None,
         help="simulation engine: 'array' (compiled kernels + "
              "steady-state replay; default) or 'object' (per-cycle "
@@ -231,6 +227,12 @@ def _validate_args(args) -> str | None:
         if args.experiment not in ("chip", "all"):
             return ("--chip-governor only applies to the 'chip' "
                     "experiment")
+    bad_bounds = [f"{flag} must be >= 1, got {value}"
+                  for flag, value in (("--min-reps", args.min_reps),
+                                      ("--max-cycles", args.max_cycles))
+                  if value < 1]
+    if bad_bounds:
+        return "; ".join(bad_bounds)
     if args.chip_cores < 1:
         return f"--chip-cores must be >= 1, got {args.chip_cores}"
     if args.chip_quota < 1:
@@ -318,8 +320,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment in ("status", "results"):
         return _run_service_query(args)
     config = POWER5.small() if args.preset == "small" else POWER5.default()
-    if args.reference:
-        config = dataclasses.replace(config, fast_forward=False)
     if args.engine:
         config = dataclasses.replace(config, engine=args.engine)
     if args.prefetch:

@@ -17,8 +17,8 @@ call.  Three layers of cost disappear relative to the object engine:
   held, retired, decoded, wait accumulators) in *locals* and syncs
   them to the thread objects only at the rare boundaries where
   something else can observe them: before a balancer flush, a
-  monitoring-window update, a periodic hook, a fast-forward plan, a
-  reference-path decode, and on return from ``step``.
+  monitoring-window update, a periodic hook, a reference-path decode,
+  and on return from ``step``.
 
 Exactness is structural, not approximate: a kernel performs exactly
 the scoreboard reads, unit-pool claims and counter increments the
@@ -30,8 +30,7 @@ too large to compile -- falls back to the inherited
 ``SMTCore._decode_slot``, which is the reference implementation
 itself.  Instrumented runs (pipeline tracer) and repetition-gated
 runs route to the inherited step loop wholesale.  The object engine
-remains the differential reference, exactly as ``fast_forward=False``
-remains the reference for the skip planner;
+remains the differential reference;
 ``tests/test_array_engine_differential`` asserts bit-identity across
 the full microbenchmark x priority matrix.
 
@@ -45,13 +44,7 @@ identity -- no per-repetition hashing.
 from __future__ import annotations
 
 from repro.config import CoreConfig
-from repro.core.smt_core import (
-    _PLAN_VETO_CYCLES,
-    _PLAN_VETO_GIVEUP,
-    _PLAN_VETO_MAX,
-    _PLAN_VETO_SHORT,
-    SMTCore,
-)
+from repro.core.smt_core import SMTCore
 from repro.core.steadyreplay import _VERIFIED as _VERIFIED_STATE
 from repro.core.steadyreplay import SteadyReplay
 from repro.core.thread import HardwareThread
@@ -234,14 +227,13 @@ class ArraySMTCore(SMTCore):
         return kernels
 
     def _array_locals(self):
-        """Hot-loop locals: dense threads, width and dispatch table.
+        """Hot-loop locals: decode width and dispatch table.
 
         The table maps ``cycle % len(table)`` to the owning thread id
         (or None) -- every arbiter mode's owner pattern is periodic
         with the period used here, which ``owner()`` itself guarantees
         since the table is built by evaluating it.
         """
-        dense_a, dense_b = self._dense_threads()
         arb = self._arbiter
         mode = arb.mode
         if mode is ArbiterMode.LOW_POWER or mode is ArbiterMode.LOW_POWER_ST:
@@ -262,7 +254,7 @@ class ArraySMTCore(SMTCore):
             tab = [owner(c) for c in range(period)]
             self._dispatch_tab = tab
             self._dispatch_arb = arb
-        return dense_a, dense_b, width, tab, len(tab)
+        return width, tab, len(tab)
 
     def step(self, cycles: int) -> int:
         """Simulate ``cycles`` cycles; returns cycles actually run.
@@ -340,7 +332,6 @@ class ArraySMTCore(SMTCore):
         horizon = bal.FLUSH_HORIZON
 
         prio_p, prio_s = self.priorities
-        fast = cfg.fast_forward and not self._ff_giveup
         gct_groups = cfg.gct_groups
         bal_on = bal_enabled and t0 is not None and t1 is not None
         misp_pen = cfg.branch.mispredict_penalty
@@ -349,9 +340,7 @@ class ArraySMTCore(SMTCore):
         #                                  unkernelizable traces)
         BIG = 1 << 62
 
-        dense_a, dense_b, dec_width, tab, tab_len = self._array_locals()
-        da = -1 if dense_a is None else dense_a.thread_id
-        db = -1 if dense_b is None else dense_b.thread_id
+        dec_width, tab, tab_len = self._array_locals()
         one = tab_len == 1
         tid0 = tab[0]
         kern0 = self._live_kernels(t0, dec_width)
@@ -359,8 +348,8 @@ class ArraySMTCore(SMTCore):
 
         # Hot per-thread state lives in locals; the thread objects are
         # synced before anything that can observe them runs (reference
-        # decode, flush, window update, hooks, the skip planner) and on
-        # return.  ``balancer_stalled`` is written through on change
+        # decode, flush, window update, hooks) and on return.
+        # ``balancer_stalled`` is written through on change
         # (transitions are rare) so the attribute is never stale;
         # ``throttled`` is only ever written by the window update and
         # hooks, so the local is reloaded there.
@@ -429,9 +418,6 @@ class ArraySMTCore(SMTCore):
         nh = self._next_hook
         if 0 <= nh < due:
             due = nh
-        plan_veto = 0
-        veto_len = _PLAN_VETO_CYCLES
-        giveup_left = _PLAN_VETO_GIVEUP
         while now < end:
             slow = now >= due
             if slow and now >= next_gc:
@@ -441,7 +427,6 @@ class ArraySMTCore(SMTCore):
             # Same slot-passing strictness as the object engine: an
             # *empty* owner (no context, workload finished) passes the
             # slot to the sibling; a merely *blocked* owner wastes it.
-            dispatched = False
             tid = tid0 if one else tab[now % tab_len]
             if tid is not None:
                 if tid == 0:
@@ -481,7 +466,6 @@ class ArraySMTCore(SMTCore):
                             gct_used += 1
                             dec0 += cnt
                             grp0 += 1
-                            dispatched = True
                             pos0 = p2
                             if rd:
                                 t0.advance_repetition()
@@ -509,7 +493,7 @@ class ArraySMTCore(SMTCore):
                             t0.stall_until = su0
                             t0.pos = pos0
                             self._gct_used = gct_used
-                            dispatched = decode_slot(t0, 0, now, dec_width)
+                            decode_slot(t0, 0, now, dec_width)
                             own0 = t0.owned_slots
                             gh0 = t0.gct_held
                             dec0 = t0.decoded
@@ -532,12 +516,7 @@ class ArraySMTCore(SMTCore):
                             if arbiter is not self._arbiter:
                                 arbiter = self._arbiter
                                 prio_p, prio_s = self.priorities
-                                (dense_a, dense_b, dec_width,
-                                 tab, tab_len) = self._array_locals()
-                                da = (-1 if dense_a is None
-                                      else dense_a.thread_id)
-                                db = (-1 if dense_b is None
-                                      else dense_b.thread_id)
+                                dec_width, tab, tab_len = self._array_locals()
                                 one = tab_len == 1
                                 tid0 = tab[0]
                                 kern1 = self._live_kernels(t1, dec_width)
@@ -575,7 +554,6 @@ class ArraySMTCore(SMTCore):
                             gct_used += 1
                             dec1 += cnt
                             grp1 += 1
-                            dispatched = True
                             pos1 = p2
                             if rd:
                                 t1.advance_repetition()
@@ -601,7 +579,7 @@ class ArraySMTCore(SMTCore):
                             t1.stall_until = su1
                             t1.pos = pos1
                             self._gct_used = gct_used
-                            dispatched = decode_slot(t1, 1, now, dec_width)
+                            decode_slot(t1, 1, now, dec_width)
                             own1 = t1.owned_slots
                             gh1 = t1.gct_held
                             dec1 = t1.decoded
@@ -624,12 +602,7 @@ class ArraySMTCore(SMTCore):
                             if arbiter is not self._arbiter:
                                 arbiter = self._arbiter
                                 prio_p, prio_s = self.priorities
-                                (dense_a, dense_b, dec_width,
-                                 tab, tab_len) = self._array_locals()
-                                da = (-1 if dense_a is None
-                                      else dense_a.thread_id)
-                                db = (-1 if dense_b is None
-                                      else dense_b.thread_id)
+                                dec_width, tab, tab_len = self._array_locals()
                                 one = tab_len == 1
                                 tid0 = tab[0]
                                 kern0 = self._live_kernels(t0, dec_width)
@@ -829,10 +802,7 @@ class ArraySMTCore(SMTCore):
                 if arbiter is not self._arbiter:
                     arbiter = self._arbiter
                     prio_p, prio_s = self.priorities
-                    (dense_a, dense_b, dec_width,
-                     tab, tab_len) = self._array_locals()
-                    da = -1 if dense_a is None else dense_a.thread_id
-                    db = -1 if dense_b is None else dense_b.thread_id
+                    dec_width, tab, tab_len = self._array_locals()
                     one = tab_len == 1
                     tid0 = tab[0]
                 kern0 = self._live_kernels(t0, dec_width)
@@ -849,91 +819,6 @@ class ArraySMTCore(SMTCore):
                     due = nh
 
             now += 1
-
-            # -- fast-forward over provably-uneventful cycles ----------
-            if fast and not dispatched and now < end:
-                if plan_veto:
-                    plan_veto -= 1
-                elif (gct_used < gct_groups
-                        and (((da == 0 or db == 0) and avail0
-                              and su0 <= now and not bst0 and not thr0)
-                             or ((da == 1 or db == 1) and avail1
-                                 and su1 <= now and not bst1
-                                 and not thr1))):
-                    plan_veto = veto_len
-                    if veto_len < _PLAN_VETO_MAX:
-                        veto_len *= 2
-                    elif giveup_left:
-                        giveup_left -= 1
-                        if not giveup_left:
-                            fast = False
-                            self._ff_giveup = True
-                else:
-                    # The planner reads slot/GCT/stall/position state;
-                    # the accounting writes the slot-loss counters.
-                    if t0 is not None:
-                        t0.owned_slots = own0
-                        t0.gct_held = gh0
-                        t0.stall_until = su0
-                        t0.pos = pos0
-                        t0.wasted_slots = ws0
-                        t0.slots_lost_gct = lg0
-                        t0.slots_lost_stall = ls0
-                        t0.slots_lost_balancer = lb0
-                        t0.slots_lost_throttle = lt0
-                    if t1 is not None:
-                        t1.owned_slots = own1
-                        t1.gct_held = gh1
-                        t1.stall_until = su1
-                        t1.pos = pos1
-                        t1.wasted_slots = ws1
-                        t1.slots_lost_gct = lg1
-                        t1.slots_lost_stall = ls1
-                        t1.slots_lost_balancer = lb1
-                        t1.slots_lost_throttle = lt1
-                    self._gct_used = gct_used
-                    target = self._skip_target(now, end, prio_p, prio_s)
-                    if target > now:
-                        self._account_skip(now, target)
-                        short = target - now < _PLAN_VETO_SHORT
-                        now = target
-                        if t0 is not None:
-                            own0 = t0.owned_slots
-                            ws0 = t0.wasted_slots
-                            lg0 = t0.slots_lost_gct
-                            ls0 = t0.slots_lost_stall
-                            lb0 = t0.slots_lost_balancer
-                            lt0 = t0.slots_lost_throttle
-                        if t1 is not None:
-                            own1 = t1.owned_slots
-                            ws1 = t1.wasted_slots
-                            lg1 = t1.slots_lost_gct
-                            ls1 = t1.slots_lost_stall
-                            lb1 = t1.slots_lost_balancer
-                            lt1 = t1.slots_lost_throttle
-                        if short:
-                            # Short skips (see _PLAN_VETO_SHORT) count
-                            # as unproductive for the back-off.
-                            plan_veto = veto_len
-                            if veto_len < _PLAN_VETO_MAX:
-                                veto_len *= 2
-                            elif giveup_left:
-                                giveup_left -= 1
-                                if not giveup_left:
-                                    fast = False
-                                    self._ff_giveup = True
-                        else:
-                            veto_len = _PLAN_VETO_CYCLES
-                            giveup_left = _PLAN_VETO_GIVEUP
-                    else:
-                        plan_veto = veto_len
-                        if veto_len < _PLAN_VETO_MAX:
-                            veto_len *= 2
-                        elif giveup_left:
-                            giveup_left -= 1
-                            if not giveup_left:
-                                fast = False
-                                self._ff_giveup = True
 
         if t0 is not None:
             t0.owned_slots = own0

@@ -392,7 +392,7 @@ class SteadyReplay:
 
     def _detect(self) -> int:
         core = self.core
-        tab_len = core._array_locals()[4]
+        tab_len = core._array_locals()[2]
         self.tab_len = tab_len
         period = tab_len
         live = 0

@@ -6,15 +6,13 @@ completed.  Useful for debugging workload schedules and for the
 examples' timeline rendering.  Tracing is off by default and costs
 nothing when detached.
 
-Interaction with the event-driven fast-forward engine: tracing is
-**exact** under fast-forwarding, by construction rather than by
-gating.  Events are recorded at decode time, and the skip planner
-(:meth:`repro.core.SMTCore._skip_target`) ends every span at the next
-cycle a ready thread could decode -- a skipped span never contains a
-decode.  Both engines therefore execute the identical sequence of
-decode cycles with identical machine state, and the recorded
-(decode, issue, complete) triples are bit-identical between
-``fast_forward=True`` and the per-cycle reference engine.  The
+Interaction with the engines: tracing is **exact** on both.  Events
+are recorded at decode time, per instruction, which neither a
+compiled group kernel nor a telescoped jump can do, so an attached
+tracer routes the array engine to the per-cycle loop it inherits from
+the object engine.  Both engines therefore execute the identical
+sequence of decode cycles with identical machine state, and the
+recorded (decode, issue, complete) triples are bit-identical.  The
 test-suite asserts this equivalence over microbenchmark pairs and
 priority differences (see ``tests/test_tracing_fast_forward.py``).
 

@@ -4,9 +4,9 @@
 45nm reference node, plus a static/leakage power floor.  Converting a
 :class:`repro.pmu.CounterBank` into joules is then a dot product over
 ``EVENT_NAMES`` -- a pure function of counters and cycle counts, which
-is what makes energy reports exact (bit-identical) under the object,
-array and fast-forward engines: any engine that produces the same
-counters produces the same energy.
+is what makes energy reports exact (bit-identical) under the object
+and array engines: any engine that produces the same counters
+produces the same energy.
 
 The default weights follow the shape of published per-structure
 energy breakdowns (dispatch/rename dominated front end, FP issue >

@@ -220,6 +220,9 @@ class ExperimentContext:
                     f"chip governor policy must be one of "
                     f"{sorted(CHIP_GOVERNOR_POLICIES)} (parameter-free "
                     f"policies), got {self.chip_governor!r}")
+        if self.max_cycles < 1:
+            raise ValueError(
+                f"max_cycles must be >= 1, got {self.max_cycles}")
         if self.chip_cores < 1:
             raise ValueError(
                 f"chip_cores must be >= 1, got {self.chip_cores}")
@@ -338,10 +341,9 @@ class ExperimentContext:
         Prefixed by the trace-cache schema version and the result
         format version (so entries from other code eras can never be
         served), then every input the cell's value is a function of:
-        the engine-normalized config fingerprint, the engine flag
-        itself (flipping engines must miss -- the differential tests
-        rely on recomputation), the runner parameters, the
-        instrumentation and policy knobs *relevant to this cell kind*,
+        the engine-normalized config fingerprint (both engines are
+        bit-identical, so they share entries), the runner parameters,
+        the instrumentation and policy knobs *relevant to this cell kind*,
         the cell key, and a content fingerprint per workload trace.
         Scoping the policy knobs per kind keeps e.g. chip flags from
         invalidating pair sweeps.
@@ -373,7 +375,6 @@ class ExperimentContext:
             raise ValueError(f"unknown cell kind in key: {key!r}")
         return (SCHEMA_VERSION, RESULT_VERSION,
                 self.config.fingerprint(),
-                ("engine", self.config.fast_forward),
                 (self.min_repetitions, runner.max_repetitions,
                  self.maiv, self.max_cycles, runner.chunk,
                  runner.warmup),

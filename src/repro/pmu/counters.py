@@ -8,10 +8,9 @@ counting), so capturing is a read-only walk over existing state, and
 the hot simulation loop pays nothing for the PMU beyond those raw
 increments.
 
-Exactness: every captured value is either updated only at decode time
-(identical in both engines by construction -- the fast-forward planner
-never skips a decode) or mirrored in closed form by the skip
-accounting (slot and balancer-stall counters).  The differential
+Exactness: every captured value is a plain counter of the machine
+state, which both engines advance identically (a telescoped jump
+adds whole verified periods of every counter).  The differential
 test-suite asserts bank equality across the full microbenchmark x
 priority-difference matrix.
 """

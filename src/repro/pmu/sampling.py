@@ -5,12 +5,12 @@ An :class:`IntervalSampler` registers a periodic hook on the core
 cycles, records the delta of a small set of counters per thread --
 IPC, decode-slot share, and L2-miss behaviour over the interval.
 
-The hook machinery is already exact under the fast-forward engine
-(the skip planner never jumps over a pending hook), and the hook body
-only *reads* counters, so sampling is non-intrusive: a sampled run
-retires the same instructions in the same cycles as an unsampled one,
-and the sample series is bit-identical between the reference and
-fast-forward engines.  Both properties are asserted by the test-suite.
+The hook machinery is exact on both engines (a telescoped jump never
+crosses a pending hook), and the hook body only *reads* counters, so
+sampling is non-intrusive: a sampled run retires the same
+instructions in the same cycles as an unsampled one, and the sample
+series is bit-identical between the object and array engines.  Both
+properties are asserted by the test-suite.
 """
 
 from __future__ import annotations

@@ -18,9 +18,7 @@ The engine is strictly *load-triggered*: it only runs inside
 cycle.  Both simulation engines (the object decode loop and the
 compiled array kernels) funnel every load through those two methods,
 so prefetch behaviour -- timing and all five ``PM_PREF_*`` counters --
-is bit-identical across engines by construction, and the fast-forward
-skip planner needs no new accounting (nothing prefetch-related ever
-happens in a skipped cycle).
+is bit-identical across engines by construction.
 
 In-flight fills live in a per-thread ``{line: ready_cycle}`` map
 rather than being installed into the L2 tags at issue time: a demand

@@ -98,49 +98,30 @@ class PrioritySlotArbiter:
         return None  # ALL_OFF
 
     # ------------------------------------------------------------------
-    # Closed-form slot arithmetic (used by the core's fast-forward path)
+    # Closed-form slot arithmetic
     # ------------------------------------------------------------------
-    #
-    # The owner pattern is periodic, so "how many slots does thread j
-    # own in [a, b)" and "when is j's n-th owned slot at or after a"
-    # have closed forms.  ``alive`` marks which threads can decode at
-    # all (present and unfinished): a slot whose nominal owner is not
-    # alive passes to the sibling, exactly as in the core's decode
-    # stage, so the *effective* slot set of a thread depends on both
-    # aliveness flags.
 
-    def _effective_set(self, tid: int, alive: tuple[bool, bool]):
-        """Describe thread ``tid``'s effectively-owned cycle set.
+    def _owned_set(self, tid: int):
+        """Describe thread ``tid``'s owned cycle set.
 
         Returns one of ``("empty",)``, ``("all",)``,
         ``("arith", period, phase)`` (cycles ``c == phase (mod
         period)``) or ``("nonmult", ratio)`` (cycles ``c % ratio !=
         0``).
         """
-        if not alive[tid]:
-            return ("empty",)
-        sibling_alive = alive[1 - tid]
         mode = self.mode
         if mode is ArbiterMode.NORMAL:
-            if not sibling_alive:
-                return ("all",)
             if tid == self._high:
                 return ("nonmult", self._ratio)
             return ("arith", self._ratio, 0)
         if mode is ArbiterMode.SINGLE_THREAD:
-            if sibling_alive and tid != self._st_owner:
-                return ("empty",)
-            return ("all",)
+            return ("all",) if tid == self._st_owner else ("empty",)
         if mode is ArbiterMode.LOW_POWER:
             interval = self.low_power_interval
-            if not sibling_alive:
-                return ("arith", interval, 0)
             return ("arith", 2 * interval, tid * interval)
-        if mode is ArbiterMode.LOW_POWER_ST:
-            if sibling_alive and tid != self._st_owner:
-                return ("empty",)
+        if mode is ArbiterMode.LOW_POWER_ST and tid == self._st_owner:
             return ("arith", self.low_power_interval, 0)
-        return ("empty",)  # ALL_OFF
+        return ("empty",)  # ALL_OFF, or the shut-off LOW_POWER_ST thread
 
     @staticmethod
     def _count_before(pattern, x: int) -> int:
@@ -158,40 +139,17 @@ class PrioritySlotArbiter:
         ratio = pattern[1]  # nonmult
         return x - (x + ratio - 1) // ratio
 
-    def owned_in(self, tid: int, a: int, b: int,
-                 alive: tuple[bool, bool] = (True, True)) -> int:
-        """Slots effectively owned by ``tid`` in cycles ``[a, b)``."""
+    def owned_in(self, tid: int, a: int, b: int) -> int:
+        """Slots owned by ``tid`` in cycles ``[a, b)``.
+
+        The closed form of counting :meth:`owner` over the span; the
+        priority-change tests use it as their oracle.
+        """
         if b <= a:
             return 0
-        pattern = self._effective_set(tid, alive)
+        pattern = self._owned_set(tid)
         return (self._count_before(pattern, b)
                 - self._count_before(pattern, a))
-
-    def nth_owned(self, tid: int, a: int, n: int,
-                  alive: tuple[bool, bool] = (True, True)) -> int | None:
-        """Cycle of ``tid``'s ``n``-th owned slot at or after ``a``.
-
-        ``n`` is 1-based; returns None when the thread owns no slots
-        under this priority pair.
-        """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        pattern = self._effective_set(tid, alive)
-        kind = pattern[0]
-        if kind == "empty":
-            return None
-        if kind == "all":
-            return a + n - 1
-        if kind == "arith":
-            period, phase = pattern[1], pattern[2]
-            first = a + (phase - a) % period
-            return first + (n - 1) * period
-        # nonmult: the target is the T-th non-multiple of ratio overall.
-        ratio = pattern[1]
-        target = self._count_before(pattern, a) + n
-        block = (target - 1) // (ratio - 1)
-        rem = target - block * (ratio - 1)
-        return block * ratio + rem
 
     def active_threads(self) -> tuple[int, ...]:
         """Thread ids that can ever decode under this priority pair."""

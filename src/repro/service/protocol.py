@@ -50,7 +50,10 @@ from repro.prefetch.config import PrefetchConfig
 #: energy_budget cells' context.
 #: v3: configs carry the prefetch knob block -- a v2 peer would
 #: silently simulate prefetch-enabled specs with the prefetcher off.
-PROTOCOL_VERSION = 3
+#: v4: configs no longer carry the retired fast-forward engine switch
+#: -- a v3 peer's config would fail to decode instead of meeting the
+#: version check.
+PROTOCOL_VERSION = 4
 
 #: Context parameters that ride in a spec, in addition to the machine
 #: configuration.  Everything :meth:`ExperimentContext._simcache_key`
@@ -109,9 +112,9 @@ def decode_cell(obj) -> tuple:
 def context_spec(ctx) -> dict:
     """The wire spec of an :class:`ExperimentContext`.
 
-    Engine switches (``fast_forward``, ``engine``) ride along inside
-    the config: they are part of the simcache key (flipping engines
-    must miss), so the server must key under the client's choice.
+    The engine switch rides along inside the config, so the server
+    simulates on the client's engine.  It is not part of the simcache
+    key: both engines produce bit-identical results.
     """
     spec = {name: getattr(ctx, name) for name in SPEC_FIELDS}
     spec["config"] = dataclasses.asdict(ctx.config)

@@ -13,8 +13,8 @@ Keying follows the trace cache's discipline
 (:mod:`repro.workloads.tracecache`): the first key components are the
 trace-cache ``SCHEMA_VERSION`` and this store's :data:`RESULT_VERSION`,
 so entries written under any other code era can never be served.  The
-remaining components -- config fingerprint, engine flag, runner
-parameters, instrumentation flags, the cell key itself and a content
+remaining components -- config fingerprint, runner parameters,
+instrumentation flags, the cell key itself and a content
 fingerprint per workload trace -- are assembled by the experiment
 layer (``ExperimentContext._simcache_key``).  Workers never touch the
 store: the coordinator filters hits before dispatching a sweep and

@@ -76,6 +76,10 @@ def _core_sig(core):
                     th.slots_lost_stall, th.stall_until, th.pos,
                     tuple(th.rep_end_times), tuple(th.rep_end_retired),
                     tuple(th.rep_start_times)))
+    stats = core.balancer.stats
+    sig.append(tuple(tuple(getattr(stats, n)) for n in (
+        "stall_events", "stall_cycles", "flush_events", "flushed_groups",
+        "throttle_windows")))
     return tuple(sig)
 
 

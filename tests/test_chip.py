@@ -40,7 +40,7 @@ class TestChipConfig:
 
     def test_fingerprint_ignores_engine(self, config):
         import dataclasses
-        ref = dataclasses.replace(config, fast_forward=False)
+        ref = dataclasses.replace(config, engine="object")
         assert (ChipConfig(core=config).fingerprint()
                 == ChipConfig(core=ref).fingerprint())
 

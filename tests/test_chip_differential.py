@@ -7,9 +7,9 @@ determinism guarantee the single-core simulator already proves:
   is byte-identical to a bare ``SMTCore`` run (no bus, no ports, no
   behavioural difference whatsoever);
 - **engine bit-identity**: multi-core scheduled runs agree between the
-  event-driven fast-forward engine and the per-cycle reference loop
-  (the shared-bus grants depend only on request times, which both
-  engines compute identically);
+  array engine and the per-cycle object reference loop (the shared-bus
+  grants depend only on request times, which both engines compute
+  identically);
 - **process bit-identity**: chip sweep cells computed by worker
   processes (``jobs > 1``) equal the serial in-process computation.
 """
@@ -35,10 +35,10 @@ PAIRS = [("cpu_int", "ldint_mem"), ("ldint_l2", "cpu_fp")]
 @pytest.fixture(scope="module")
 def configs():
     from repro.config import POWER5
-    fast = POWER5.small()
-    ref = dataclasses.replace(fast, fast_forward=False)
-    assert fast.fast_forward and not ref.fast_forward
-    return fast, ref
+    array = POWER5.small()
+    obj = dataclasses.replace(array, engine="object")
+    assert array.engine == "array"
+    return array, obj
 
 
 @pytest.mark.parametrize("primary,secondary", PAIRS)
@@ -87,7 +87,7 @@ def test_single_core_schedule_is_quantum_invariant(config):
 
 @pytest.mark.parametrize("governor", [None, "ipc_balance"])
 def test_scheduled_run_engine_bit_identity(configs, governor):
-    """2-core scheduled runs agree between fast and reference engines,
+    """2-core scheduled runs agree between array and object engines,
     with and without per-core governors in the loop."""
     jobs = [Job("cpu_int", 3), Job("ldint_mem", 2),
             Job("ldint_l2", 3), Job("cpu_fp", 2)]
@@ -98,13 +98,13 @@ def test_scheduled_run_engine_bit_identity(configs, governor):
                             governor=governor, governor_epoch=200)
         return sched.run(list(jobs))
 
-    fast_cfg, ref_cfg = configs
-    fast, ref = run(fast_cfg), run(ref_cfg)
-    assert fast.jobs == ref.jobs
-    assert fast.decisions == ref.decisions
-    assert fast.counters == ref.counters
-    assert fast.bus == ref.bus
-    assert fast.makespan == ref.makespan
+    array_cfg, obj_cfg = configs
+    array, ref = run(array_cfg), run(obj_cfg)
+    assert array.jobs == ref.jobs
+    assert array.decisions == ref.decisions
+    assert array.counters == ref.counters
+    assert array.bus == ref.bus
+    assert array.makespan == ref.makespan
     if governor:
         assert sum(r.governor_changes for r in ref.jobs) > 0
 

@@ -28,6 +28,19 @@ class TestMain:
         assert main(["tableX"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--min-reps", "0"], "--min-reps must be >= 1, got 0"),
+        (["--max-cycles", "0"], "--max-cycles must be >= 1, got 0"),
+        (["--max-cycles", "-5", "--min-reps", "-1"],
+         "--min-reps must be >= 1, got -1; "
+         "--max-cycles must be >= 1, got -5"),
+    ], ids=["min_reps", "max_cycles", "both"])
+    def test_bad_run_bounds_rejected(self, capsys, argv, message):
+        assert main(["table3", *argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_table1_runs(self, capsys):
         assert main(["table1"]) == 0
         out = capsys.readouterr().out

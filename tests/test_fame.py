@@ -114,6 +114,16 @@ class TestFameRunner:
         with pytest.raises(ValueError):
             FameRunner(config, min_repetitions=5, max_repetitions=3)
 
+    @pytest.mark.parametrize("engine,telescoped",
+                             [("array", True), ("object", False)])
+    def test_last_steady_state_reports_telescoping(self, config, bench,
+                                                   engine, telescoped):
+        """True exactly when the run's core made a telescoped jump."""
+        cfg = config.replace(engine=engine)
+        runner = FameRunner(cfg, min_repetitions=10)
+        runner.run_single(bench("cpu_int"))
+        assert runner.last_steady_state is telescoped
+
     def test_deterministic_measurements(self, config, bench):
         runner = FameRunner(config, min_repetitions=3)
         a = runner.run_single(bench("cpu_int")).thread(0).ipc

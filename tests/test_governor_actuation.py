@@ -6,8 +6,8 @@ writes issued inside a periodic core hook.  The contract under test:
 - the write takes effect at the next decode boundary -- the first
   decode after the hook's fire cycle uses the new arbiter, every slot
   before it the old one, exactly like an in-trace priority nop;
-- the effect is bit-identical across the per-cycle reference loop and
-  the event-driven fast-forward engine (a skip may never jump the
+- the effect is bit-identical across the per-cycle object reference
+  loop and the array engine (a telescoped jump may never cross the
   actuation);
 - every applied write is counted as a ``PM_PRIO_CHANGE`` event.
 """
@@ -19,7 +19,7 @@ import dataclasses
 import pytest
 
 from repro.config import POWER5
-from repro.core import SMTCore
+from repro.core import SMTCore, make_core
 from repro.microbench import make_microbenchmark
 from repro.priority import PrioritySlotArbiter
 from repro.syskernel import PatchedKernel
@@ -36,14 +36,15 @@ AFTER = (6, 1)
 
 @pytest.fixture(scope="module")
 def configs():
-    fast = POWER5.small()
-    ref = dataclasses.replace(fast, fast_forward=False)
-    return fast, ref
+    """(array, object) config pair -- identical but for the engine."""
+    array = POWER5.small()
+    obj = dataclasses.replace(array, engine="object")
+    return array, obj
 
 
 def _run(config, actuate, chunk=TOTAL):
     """Run a compute pair with a one-shot actuating hook at PERIOD."""
-    core = SMTCore(config)
+    core = make_core(config)
     core.load([make_microbenchmark("cpu_int", config),
                make_microbenchmark("cpu_fp", config,
                                    base_address=SECONDARY_BASE)],
@@ -80,7 +81,10 @@ def _expected_owned(tid, fire_cycle, total):
 
 @pytest.mark.parametrize("engine", ["fast", "reference"])
 def test_effective_at_next_decode_boundary(configs, engine):
-    """The slot split matches the closed form exactly, per engine."""
+    """The slot split matches the closed form exactly, per engine.
+
+    ``fast`` is the array engine, ``reference`` the object engine.
+    """
     config = configs[0] if engine == "fast" else configs[1]
     core, fired = _run(config, _sysfs)
     assert fired[0] == PERIOD
@@ -94,12 +98,12 @@ def test_effective_at_next_decode_boundary(configs, engine):
 
 
 def test_bit_identical_across_engines(configs):
-    """Fast-forward may not skip or displace the hook's actuation."""
-    fast_cfg, ref_cfg = configs
-    fast_core, fast_fired = _run(fast_cfg, _sysfs)
-    ref_core, ref_fired = _run(ref_cfg, _sysfs, chunk=1)
-    assert fast_fired == ref_fired
-    assert fast_core.result() == ref_core.result()
+    """The array engine may not skip or displace the hook's actuation."""
+    array_cfg, obj_cfg = configs
+    array_core, array_fired = _run(array_cfg, _sysfs)
+    ref_core, ref_fired = _run(obj_cfg, _sysfs, chunk=1)
+    assert array_fired == ref_fired
+    assert array_core.result() == ref_core.result()
 
 
 def test_counts_prio_change_events(configs):

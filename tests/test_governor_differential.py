@@ -3,9 +3,9 @@
 A governor is a periodic hook plus sysfs writes, so governed runs must
 inherit both determinism guarantees of the simulator:
 
-- **engine bit-identity**: the event-driven fast-forward engine
-  produces results and decision logs byte-identical to the per-cycle
-  reference loop (the skip planner may never jump a governor epoch);
+- **engine bit-identity**: the array engine produces results and
+  decision logs byte-identical to the per-cycle object reference loop
+  (a telescoped jump may never cross a governor epoch);
 - **process bit-identity**: governed sweep cells computed by worker
   processes (``jobs > 1``) equal the serial in-process computation.
 
@@ -28,7 +28,7 @@ from repro.microbench import make_microbenchmark
 SECONDARY_BASE = (1 << 27) + 8192
 
 #: The epoch mandated for the differential matrix: short enough that
-#: fast-forward skips regularly collide with epoch boundaries.
+#: epoch boundaries land inside memory stalls and starvation waits.
 EPOCH = 200
 
 SCENARIOS = [
@@ -40,10 +40,11 @@ SCENARIOS = [
 
 @pytest.fixture(scope="module")
 def configs():
-    fast = POWER5.small()
-    ref = dataclasses.replace(fast, fast_forward=False)
-    assert fast.fast_forward and not ref.fast_forward
-    return fast, ref
+    """(array, object) config pair -- identical but for the engine."""
+    array = POWER5.small()
+    obj = dataclasses.replace(array, engine="object")
+    assert array.engine == "array"
+    return array, obj
 
 
 def _governed_fame(config, primary, secondary, policy, params):
@@ -62,14 +63,14 @@ def _governed_fame(config, primary, secondary, policy, params):
 def test_engine_bit_identity(configs, primary, secondary, policy,
                              params):
     """Governed FAME runs are bit-identical across engines."""
-    fast_cfg, ref_cfg = configs
-    fast, fast_gov = _governed_fame(fast_cfg, primary, secondary,
-                                    policy, params)
-    ref, ref_gov = _governed_fame(ref_cfg, primary, secondary,
+    array_cfg, obj_cfg = configs
+    array, array_gov = _governed_fame(array_cfg, primary, secondary,
+                                      policy, params)
+    ref, ref_gov = _governed_fame(obj_cfg, primary, secondary,
                                   policy, params)
-    assert fast_gov.decision_log() == ref_gov.decision_log()
-    assert fast_gov.final_priorities == ref_gov.final_priorities
-    assert fast == ref
+    assert array_gov.decision_log() == ref_gov.decision_log()
+    assert array_gov.final_priorities == ref_gov.final_priorities
+    assert array == ref
     # The differential proves nothing if the governor never acted.
     assert ref_gov.applied_changes > 0
 

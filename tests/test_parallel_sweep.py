@@ -111,12 +111,12 @@ def test_trace_cache_misses_on_config_and_address():
 
 
 def test_trace_cache_ignores_engine_switch():
-    """fast_forward is an engine switch, not a workload parameter."""
+    """engine is an engine switch, not a workload parameter."""
     clear_cache()
-    fast = POWER5.small()
-    ref = dataclasses.replace(fast, fast_forward=False)
-    assert cached_workload("cpu_fp", fast) is cached_workload("cpu_fp",
-                                                              ref)
+    array = POWER5.small()
+    obj = dataclasses.replace(array, engine="object")
+    assert cached_workload("cpu_fp", array) is cached_workload("cpu_fp",
+                                                               obj)
 
 
 def test_cached_trace_not_mutated_by_a_run():

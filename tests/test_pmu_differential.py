@@ -1,8 +1,8 @@
 """Differential exactness of the emulated PMU.
 
 The PMU's headline guarantee: every counter, interval sample and FAME
-telemetry point is **bit-identical** between the event-driven
-fast-forward engine and the per-cycle reference loop, over the full
+telemetry point is **bit-identical** between the array engine and
+the per-cycle object reference loop, over the full
 microbenchmark x priority-difference matrix -- and a parallel
 (``jobs=N``) instrumented sweep is byte-identical to the serial one.
 
@@ -40,17 +40,17 @@ MATRIX = [(bench, EVALUATED_BENCHMARKS[(i + 1) % len(EVALUATED_BENCHMARKS)],
 
 #: Deliberately awkward sampling period: prime, unaligned with decode
 #: patterns, repetition lengths and the step chunk, so samples land
-#: mid-span and force the skip planner to stop at every hook.
+#: mid-span.
 SAMPLE_PERIOD = 1009
 
 
 @pytest.fixture(scope="module")
 def configs():
-    """(fast, reference) config pair -- identical but for the engine."""
-    fast = POWER5.small()
-    ref = dataclasses.replace(fast, fast_forward=False)
-    assert fast.fast_forward and not ref.fast_forward
-    return fast, ref
+    """(array, object) config pair -- identical but for the engine."""
+    array = POWER5.small()
+    obj = dataclasses.replace(array, engine="object")
+    assert array.engine == "array"
+    return array, obj
 
 
 def _instrumented(config, primary, secondary, priorities):
@@ -68,21 +68,21 @@ def _instrumented(config, primary, secondary, priorities):
 def test_counters_identical_across_engines(configs, primary, secondary,
                                            diff):
     """Counters, samples and telemetry match the reference engine."""
-    fast_cfg, ref_cfg = configs
+    array_cfg, obj_cfg = configs
     priorities = priority_pair(diff)
-    fast_fame, fast_report = _instrumented(fast_cfg, primary, secondary,
-                                           priorities)
-    ref_fame, ref_report = _instrumented(ref_cfg, primary, secondary,
+    array_fame, array_report = _instrumented(array_cfg, primary,
+                                             secondary, priorities)
+    obj_fame, obj_report = _instrumented(obj_cfg, primary, secondary,
                                          priorities)
-    assert fast_fame == ref_fame
-    assert fast_report == ref_report
+    assert array_fame == obj_fame
+    assert array_report == obj_report
     # The assertion above must be comparing real content.
-    assert fast_report.counter("PM_INST_CMPL", 0) > 0
-    assert fast_report.samples or fast_report.cycles < SAMPLE_PERIOD
-    assert fast_report.fame_samples
+    assert array_report.counter("PM_INST_CMPL", 0) > 0
+    assert array_report.samples or array_report.cycles < SAMPLE_PERIOD
+    assert array_report.fame_samples
     # And the stack partition survives both engines.
     for tid in (0, 1):
-        assert fast_report.cpi_stack(tid).total == fast_report.cycles
+        assert array_report.cpi_stack(tid).total == array_report.cycles
 
 
 # ----------------------------------------------------------------------

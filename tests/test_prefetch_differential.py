@@ -2,9 +2,9 @@
 
 The stream/stride prefetcher lives entirely inside
 ``MemoryHierarchy.load``/``load_complete``, so its behaviour must be
-**bit-identical** across all three simulation engines -- the per-cycle
-reference loop (``fast_forward=False``), the fast-forward object
-engine, and the compiled array engine -- on every observable: each
+**bit-identical** across both simulation engines -- the per-cycle
+object reference loop and the compiled array engine -- on every
+observable: each
 FameResult counter and repetition series, the PMU counter bank
 (including all five ``PM_PREF_*`` events) and interval samples, and
 the byte representation of whole sweeps whether computed serially, by
@@ -58,22 +58,15 @@ def _pf(config: CoreConfig) -> CoreConfig:
 
 @pytest.fixture(scope="module")
 def configs():
-    """(array, object, reference) configs, prefetch on everywhere."""
+    """(array, object) configs, prefetch on everywhere."""
     array = _pf(POWER5.small())
     obj = dataclasses.replace(array, engine="object")
-    ref = dataclasses.replace(obj, fast_forward=False)
-    assert array.engine == "array" and array.fast_forward
-    return array, obj, ref
+    assert array.engine == "array"
+    return array, obj
 
 
 def _run(config, pair, priorities, pmu=None):
-    # fame_fast_forward=False is the exact-replay reference mode: the
-    # FAME repetition shortcut synthesizes sub-repetition tail state,
-    # which only the FAME-visible fields (not full ThreadResult
-    # equality) are specified to survive -- that path gets its own
-    # test below.
-    runner = FameRunner(config, min_repetitions=2, max_cycles=200_000,
-                        fame_fast_forward=False)
+    runner = FameRunner(config, min_repetitions=2, max_cycles=200_000)
     primary, secondary = pair
     if secondary is None:
         return runner.run_single(make_microbenchmark(primary, config),
@@ -99,13 +92,11 @@ MATRIX = ([(p, prio) for p in PAIRS for prio in PRIORITIES]
          if prio else f"{p[0]}-st" for p, prio in MATRIX])
 def test_prefetch_results_identical_across_engines(configs, pair,
                                                    priorities):
-    """All three engines agree on every counter and repetition record."""
-    array_cfg, obj_cfg, ref_cfg = configs
+    """Both engines agree on every counter and repetition record."""
+    array_cfg, obj_cfg = configs
     array_fame = _run(array_cfg, pair, priorities)
     obj_fame = _run(obj_cfg, pair, priorities)
     assert array_fame == obj_fame
-    ref_fame = _run(ref_cfg, pair, priorities)
-    assert array_fame == ref_fame
     assert array_fame.result.threads[0].retired > 0
 
 
@@ -117,14 +108,13 @@ def test_prefetch_results_identical_across_engines(configs, pair,
 def test_prefetch_pmu_reports_identical_across_engines(configs, pair,
                                                        priorities):
     """PM_PREF_* banks and interval samples are bit-equal and live."""
-    array_cfg, obj_cfg, ref_cfg = configs
     reports = []
-    for config in (array_cfg, obj_cfg, ref_cfg):
+    for config in configs:
         pmu = Pmu(sample_period=1009)
         fames = _run(config, pair, priorities, pmu=pmu)
         reports.append((fames, pmu.report()))
-    (array_fame, array_report), (_, obj_report), (_, ref_report) = reports
-    assert array_report == obj_report == ref_report
+    (array_fame, array_report), (_, obj_report) = reports
+    assert array_report == obj_report
     assert array_fame.result.threads[0].retired > 0
 
     def total(event):
@@ -137,42 +127,6 @@ def test_prefetch_pmu_reports_identical_across_engines(configs, pair,
     assert total("PM_PREF_ISSUE") > 0
     assert total("PM_LD_PREF_HIT") + total("PM_PREF_LATE") > 0
     assert len(array_report.samples) > 0
-
-
-@pytest.mark.parametrize("bench,engages",
-                         [("ldint_l1", True), ("ldint_mem", False),
-                          ("ldint_l2", False)],
-                         ids=["ldint_l1", "ldint_mem", "ldint_l2"])
-def test_prefetch_fame_fast_forward_matches_replay(configs, bench,
-                                                   engages):
-    """The FAME repetition shortcut stays exact with the prefetcher on.
-
-    The steady signature now carries the prefetcher's stream tables,
-    in-flight fills and statistics, so a verified period proves the
-    prefetch phase repeats too.  ``ldint_l1`` (prefetcher trained on
-    the cold pass, idle in steady state) must still engage; the
-    memory-walking benches gain a multi-repetition prefetch phase the
-    one-repetition detector cannot verify, so they must fall back to
-    the replay path -- and match it trivially.
-    """
-    array_cfg = configs[0]
-
-    def run(fast):
-        runner = FameRunner(array_cfg, min_repetitions=10,
-                            max_cycles=4_000_000, fame_fast_forward=fast)
-        result = runner.run_single(make_microbenchmark(bench, array_cfg))
-        return runner, result
-
-    _, reference = run(False)
-    runner, fast = run(True)
-    ref_th, fast_th = reference.thread(0), fast.thread(0)
-    assert fast_th.repetitions == ref_th.repetitions
-    assert fast_th.rep_end_times == ref_th.rep_end_times
-    assert fast_th.rep_end_retired == ref_th.rep_end_retired
-    assert fast_th.ipc == ref_th.ipc
-    assert fast.cycles == reference.cycles
-    assert fast.converged == reference.converged
-    assert runner.last_steady_state == engages
 
 
 # ----------------------------------------------------------------------

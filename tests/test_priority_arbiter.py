@@ -113,3 +113,24 @@ class TestValidation:
 
     def test_repr_mentions_mode(self):
         assert "low_power" in repr(PrioritySlotArbiter(1, 1))
+
+
+# ----------------------------------------------------------------------
+# Closed-form slot arithmetic
+# ----------------------------------------------------------------------
+
+PRIORITY_GRID = [(6, 1), (6, 4), (4, 4), (1, 6), (5, 2), (2, 5),
+                 (4, 0), (0, 4), (1, 1), (7, 3), (0, 0)]
+
+
+@pytest.mark.parametrize("prio_p,prio_s", PRIORITY_GRID)
+def test_owned_in_matches_enumeration(prio_p, prio_s):
+    """owned_in(tid, a, b) equals brute-force counting of owner()."""
+    arb = PrioritySlotArbiter(prio_p, prio_s)
+    for a, b in [(0, 0), (0, 1), (0, 64), (7, 91), (100, 100),
+                 (13, 260)]:
+        for tid in (0, 1):
+            expected = sum(1 for c in range(a, b)
+                           if arb.owner(c) == tid)
+            assert arb.owned_in(tid, a, b) == expected, (
+                f"owned_in({tid},{a},{b}) at ({prio_p},{prio_s})")

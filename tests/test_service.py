@@ -246,6 +246,30 @@ def test_handshake_mismatch_refused_with_409(tmp_path, monkeypatch):
         client = ServiceClient(handle.url)
         with pytest.raises(ServiceError, match="409.*protocol version"):
             client._request("POST", "/submit", bad)
+        # A v3 client still sends the retired ``fast_forward`` config
+        # field; the handshake must refuse it before the spec decodes.
+        old = dict(protocol.handshake(), protocol=3)
+        old["spec"] = context_spec(_ctx())
+        old["spec"]["config"]["fast_forward"] = True
+        old["cells"] = [encode_cell(single_cell("cpu_int"))]
+        with pytest.raises(ServiceError, match="409.*protocol version"):
+            client._request("POST", "/submit", old)
+    finally:
+        handle.stop()
+
+
+def test_bad_run_bounds_refused_with_400(tmp_path):
+    """A spec with no cycle budget or no repetitions is a bad request."""
+    handle = _server(tmp_path)
+    try:
+        client = ServiceClient(handle.url)
+        for field, match in (("max_cycles", "max_cycles must be >= 1"),
+                             ("min_repetitions",
+                              "min_repetitions must be >= 1")):
+            spec = context_spec(_ctx())
+            spec[field] = 0
+            with pytest.raises(ServiceError, match=f"400.*{match}"):
+                client.submit(spec, [encode_cell(single_cell("cpu_int"))])
     finally:
         handle.stop()
 

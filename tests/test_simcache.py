@@ -180,20 +180,6 @@ def test_workload_edit_misses(tmp_path, monkeypatch):
     tracecache.clear_cache()  # drop the rerouted sources
 
 
-def test_engine_flip_misses_but_matches(tmp_path):
-    """Flipping the simulation engine misses -- and both engines'
-    freshly computed values agree (the engine-equivalence guarantee
-    the differential suite pins down)."""
-    cell = pair_cell("cpu_int", "ldint_l1", priority_pair(2))
-    fast = _ctx(tmp_path)
-    fast.prefetch([cell])
-    reference = _ctx(tmp_path,
-                     config=dataclasses.replace(POWER5.small(),
-                                                fast_forward=False))
-    assert reference.prefetch([cell]) == 1  # distinct cache entry
-    assert repr(reference._cache[cell]) == repr(fast._cache[cell])
-
-
 def test_dense_era_cells_reused_across_engines(tmp_path):
     """Engine choice never enters a cell key: dense-era cells stay warm.
 
@@ -203,7 +189,7 @@ def test_dense_era_cells_reused_across_engines(tmp_path):
     governed/sampled/chip cells still ran the object engine (or the
     array engine's dense fallback, before jumps learned to clamp at
     hook horizons) must be served verbatim to the telescoping engine.
-    Only ``fast_forward`` is a key axis.  Pinned for every cell kind,
+    Pinned for every cell kind,
     then closed behaviourally: object-engine-computed cells are warm
     hits for an array-engine context.
     """

@@ -1,13 +1,14 @@
-"""PipelineTracer x fast-forward: tracing is exact across engines.
+"""PipelineTracer across engines: tracing is exact on both.
 
-The decision (documented in :mod:`repro.core.tracing`): tracing needs
-no gating under the event-driven engine, because events are recorded
-at decode time and the skip planner never jumps over a cycle in which
-a ready thread could decode.  Both engines therefore visit the same
-decode cycles with the same state, and the recorded (decode, issue,
-complete) triples must be bit-identical.  These regression tests pin
-that contract so a future planner change that starts skipping decodes
-fails loudly instead of silently corrupting traces.
+The decision (documented in :mod:`repro.core.tracing`): an attached
+tracer routes the array engine to the per-cycle loop it inherits from
+the object engine, because a telescoped jump or a compiled group
+kernel records no per-instruction events.  Both engines therefore
+visit the same decode cycles with the same state, and the recorded
+(decode, issue, complete) triples must be bit-identical.  These
+regression tests pin that contract so a future array-engine change
+that stops routing traced runs fails loudly instead of silently
+corrupting traces.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import dataclasses
 import pytest
 
 from repro.config import POWER5
-from repro.core import SMTCore
+from repro.core import make_core
 from repro.core.tracing import PipelineTracer
 from repro.experiments.base import priority_pair
 from repro.microbench import make_microbenchmark
@@ -31,13 +32,14 @@ DIFFS = (-5, 0, 5)
 
 @pytest.fixture(scope="module")
 def configs():
-    fast = POWER5.small()
-    ref = dataclasses.replace(fast, fast_forward=False)
-    return fast, ref
+    """(array, object) config pair -- identical but for the engine."""
+    array = POWER5.small()
+    obj = dataclasses.replace(array, engine="object")
+    return array, obj
 
 
 def _traced_run(config, primary, secondary, priorities, cap=120_000):
-    core = SMTCore(config)
+    core = make_core(config)
     core.load([make_microbenchmark(primary, config),
                make_microbenchmark(secondary, config,
                                    base_address=SECONDARY_BASE)],
@@ -55,33 +57,16 @@ def _traced_run(config, primary, secondary, priorities, cap=120_000):
 def test_trace_identical_across_engines(configs, primary, secondary,
                                         diff):
     """Event streams match the reference engine event for event."""
-    fast_cfg, ref_cfg = configs
+    array_cfg, obj_cfg = configs
     priorities = priority_pair(diff)
-    fast_res, fast_tr = _traced_run(fast_cfg, primary, secondary,
-                                    priorities)
-    ref_res, ref_tr = _traced_run(ref_cfg, primary, secondary,
+    array_res, array_tr = _traced_run(array_cfg, primary, secondary,
+                                      priorities)
+    ref_res, ref_tr = _traced_run(obj_cfg, primary, secondary,
                                   priorities)
-    assert fast_res == ref_res
+    assert array_res == ref_res
     assert len(ref_tr) > 0
-    assert fast_tr.dropped == ref_tr.dropped
-    assert fast_tr.events == ref_tr.events
-
-
-def test_skips_never_cover_decode_cycles(configs):
-    """Stronger form: every traced decode cycle exists in both runs.
-
-    If the planner ever skipped a decode, the fast run would record a
-    *later* decode cycle for some instruction; comparing the ordered
-    decode-cycle sequences per thread catches that even if the event
-    lists happened to stay equal in length.
-    """
-    fast_cfg, ref_cfg = configs
-    _, fast_tr = _traced_run(fast_cfg, "cpu_int", "ldint_mem", (6, 1))
-    _, ref_tr = _traced_run(ref_cfg, "cpu_int", "ldint_mem", (6, 1))
-    for tid in (0, 1):
-        fast_decodes = [e.decode for e in fast_tr.thread_events(tid)]
-        ref_decodes = [e.decode for e in ref_tr.thread_events(tid)]
-        assert fast_decodes == ref_decodes
+    assert array_tr.dropped == ref_tr.dropped
+    assert array_tr.events == ref_tr.events
 
 
 def test_tracer_coexists_with_pmu_sampling(configs):
@@ -89,7 +74,7 @@ def test_tracer_coexists_with_pmu_sampling(configs):
     from repro.pmu import IntervalSampler
 
     def run(config):
-        core = SMTCore(config)
+        core = make_core(config)
         core.load([make_microbenchmark("cpu_int", config),
                    make_microbenchmark("ldint_mem", config,
                                        base_address=SECONDARY_BASE)],
@@ -103,5 +88,5 @@ def test_tracer_coexists_with_pmu_sampling(configs):
         core.drain()
         return core.result(), tracer.events, tuple(sampler.samples)
 
-    fast_cfg, ref_cfg = configs
-    assert run(fast_cfg) == run(ref_cfg)
+    array_cfg, obj_cfg = configs
+    assert run(array_cfg) == run(obj_cfg)
