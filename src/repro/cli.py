@@ -396,18 +396,10 @@ def main(argv: list[str] | None = None) -> int:
     if backend is not None:
         _print_service_summary(backend)
     if simcache is not None and (simcache.hits or simcache.misses):
-        if args.experiment == "all":
-            # A full run just warmed every cell the suite has; fold
-            # the per-cell files into the indexed shard so the next
-            # invocation reads one file instead of hundreds.
-            packed = simcache.pack()
-            if packed:
-                print(f"packed {packed} cached results into "
-                      f"{simcache.root / 'entries.shard'}")
         stats = simcache.stats()
         print(f"result cache: {stats['hits']} hits, "
               f"{stats['misses']} misses, {stats['stores']} stored "
-              f"({stats['entries']} entries, {stats['packed']} packed, "
+              f"({stats['entries']} entries, "
               f"{stats['bytes'] / 1e6:.1f} MB on disk)")
         simcache.flush_stats()
     if args.pmu:
@@ -438,21 +430,9 @@ def _run_cache(args) -> int:
     from repro.workloads import tracecache
     cache = SimCache(args.simcache_dir)
     if args.clear:
-        swept = cache.clear()
+        removed = cache.clear()
         tracecache.clear_cache()
-        removed = swept["entries"] + swept["packed"]
         print(f"cleared {removed} cached results from {cache.root}")
-        extra = ", ".join(
-            f"{swept[key]} {label}" for key, label in (
-                ("spool", "spool/stats files"),
-                ("locks", "lock files"),
-                ("holds", "stale hold markers"))
-            if swept[key])
-        if extra:
-            print(f"  also swept: {extra}")
-        if swept["live_holds"]:
-            print(f"  kept {swept['live_holds']} live hold marker(s): "
-                  f"owning processes are still running")
         return 0
     stats = cache.stats()
     totals = cache.persistent_stats()
@@ -460,7 +440,7 @@ def _run_cache(args) -> int:
     rate = f"{100 * totals['hits'] / lookups:.1f}%" if lookups else "n/a"
     print(f"result cache: {stats['dir']}")
     print(f"  entries: {stats['entries']} "
-          f"({stats['packed']} packed, {stats['bytes'] / 1e6:.1f} MB)")
+          f"({stats['bytes'] / 1e6:.1f} MB)")
     print(f"  lifetime: {totals['hits']} hits / {lookups} lookups "
           f"({rate} hit rate), {totals['stores']} stores")
     info = tracecache.cache_info()

@@ -18,7 +18,7 @@ Robustness follows the measurement-discipline rule that a run is only
 valid when it completes under its contract: per-cell timeouts, bounded
 retries with exponential backoff, worker-crash detection with cell
 requeue (re-checking the simcache first -- a worker killed after its
-atomic store but before its report costs nothing), and graceful drain
+committed store but before its report costs nothing), and graceful drain
 on SIGTERM (stop accepting, finish everything in flight, stop workers,
 flush stats).  ``/metrics`` exposes queue depth, in-flight cells,
 dedup hit-rate and per-worker throughput; ``/healthz`` is a liveness
@@ -28,9 +28,14 @@ and CI.
 
 The HTTP layer is a deliberately minimal, dependency-free HTTP/1.1
 implementation on ``asyncio.start_server`` (no ``http.server``, which
-is thread-per-request and synchronous).  The service trusts its
-network: it moves pickles and executes simulation plans, so run it
-inside the same trust domain you would share a cache directory with.
+is thread-per-request and synchronous).  Its request reader fails
+safe on hostile input: a request not received within
+:data:`READ_TIMEOUT_S` gets 408, headers beyond :data:`MAX_HEADER_BYTES`
+or a body beyond :data:`MAX_BODY_BYTES` get 413, and a malformed
+``Content-Length`` or ``/entry`` digest gets 400.  The service still
+trusts its network: it moves pickles and executes simulation plans, so
+run it inside the same trust domain you would share a cache directory
+with.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import re
 import signal
 import threading
 import time
@@ -54,6 +60,15 @@ QUEUED = "queued"
 RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
+
+#: Seconds a client has to deliver its request line, headers and body.
+READ_TIMEOUT_S = 10.0
+#: Bound on the request line plus headers, and on the request body.
+MAX_HEADER_BYTES = 16 * 1024
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: A simcache entry name: the hex SHA-256 of its key.
+_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +142,6 @@ class ServiceServer:
         self._started = time.monotonic()
         self._tasks: list[asyncio.Task] = []
         self._pump_stop = threading.Event()
-        self._hold = None
         self._server: asyncio.AbstractServer | None = None
         self.pool: WorkerPool | None = None
 
@@ -136,12 +150,11 @@ class ServiceServer:
     async def start(self) -> None:
         """Bind the socket, start workers and the scheduler tasks."""
         loop = asyncio.get_running_loop()
-        self._hold = self.simcache.hold()
-        self._hold.__enter__()
         self.pool = WorkerPool(self.config.workers,
                                self.config.cache_dir)
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
+            self._handle_connection, self.config.host, self.config.port,
+            limit=MAX_HEADER_BYTES)
         self.port = self._server.sockets[0].getsockname()[1]
         pump = threading.Thread(target=self._result_pump, args=(loop,),
                                 name="power5-svc-pump", daemon=True)
@@ -174,9 +187,7 @@ class ServiceServer:
             self._server.close()
             await self._server.wait_closed()
         self.simcache.flush_stats()
-        if self._hold is not None:
-            self._hold.__exit__(None, None, None)
-            self._hold = None
+        self.simcache.close()
         self._drained.set()
 
     # -- scheduling -----------------------------------------------------
@@ -278,7 +289,7 @@ class ServiceServer:
         cell = self._cells.get(digest)
         if cell is None or cell.state != QUEUED:
             return
-        # A worker killed *after* its atomic store but before its
+        # A worker killed *after* its committed store but before its
         # report already persisted the value; recheck before paying
         # for a recompute.
         value = self.simcache.lookup(cell.cache_key)
@@ -455,24 +466,15 @@ class ServiceServer:
                 await writer.wait_closed()
 
     async def _respond(self, reader) -> tuple[int, str, bytes]:
-        request = (await reader.readline()).decode("latin-1").strip()
-        parts = request.split()
-        if len(parts) < 2:
-            return _json(400, {"error": "malformed request line"})
-        method, path = parts[0], parts[1]
-        length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    return _json(400, {"error": "bad content-length"})
-        body = await reader.readexactly(length) if length else b""
-        return await self._route(method, path, body)
+        try:
+            request = await asyncio.wait_for(_read_request(reader),
+                                             READ_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            return _json(408, {"error": "request not received within "
+                                        f"{READ_TIMEOUT_S:g}s"})
+        except _HttpError as exc:
+            return _json(exc.status, {"error": str(exc)})
+        return await self._route(*request)
 
     async def _route(self, method: str, path: str,
                      body: bytes) -> tuple[int, str, bytes]:
@@ -487,7 +489,11 @@ class ServiceServer:
         if method == "GET" and path.startswith("/results/"):
             return _json(*self._results(path[len("/results/"):]))
         if method == "GET" and path.startswith("/entry/"):
-            blob = self.simcache.raw_entry(path[len("/entry/"):])
+            digest = path[len("/entry/"):]
+            if not _DIGEST_RE.fullmatch(digest):
+                return _json(400, {"error": "entry digest must be 64 "
+                                            "lowercase hex digits"})
+            blob = self.simcache.raw_entry(digest)
             if blob is None:
                 return _json(404, {"error": "unknown entry"})
             return 200, "application/octet-stream", blob
@@ -509,7 +515,55 @@ class ServiceServer:
 
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            409: "Conflict", 503: "Service Unavailable"}
+            408: "Request Timeout", 409: "Conflict",
+            413: "Content Too Large", 503: "Service Unavailable"}
+
+
+class _HttpError(Exception):
+    """A request the reader refuses, with the status to answer."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_request(reader) -> tuple[str, str, bytes]:
+    """``(method, path, body)`` of one request, within the size limits.
+
+    The stream's own limit (``MAX_HEADER_BYTES``, set at
+    ``start_server``) bounds each line; the running total bounds the
+    header section as a whole.
+    """
+    size = 0
+    lines = []
+    while True:
+        try:
+            line = await reader.readline()
+        except ValueError:  # one line beyond the stream limit
+            raise _HttpError(413, "request header too large") from None
+        size += len(line)
+        if size > MAX_HEADER_BYTES:
+            raise _HttpError(413, "request header too large")
+        if line in (b"\r\n", b"\n", b""):
+            break
+        lines.append(line.decode("latin-1"))
+    parts = lines[0].split() if lines else []
+    if len(parts) < 2:
+        raise _HttpError(400, "malformed request line")
+    length = 0
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        if name.strip().lower() == "content-length":
+            try:
+                length = int(value.strip())
+            except ValueError:
+                length = -1
+            if length < 0:
+                raise _HttpError(400, "bad content-length")
+    if length > MAX_BODY_BYTES:
+        raise _HttpError(413, f"body over {MAX_BODY_BYTES} bytes")
+    body = await reader.readexactly(length) if length else b""
+    return parts[0], parts[1], body
 
 
 def _json(status: int, payload: dict,

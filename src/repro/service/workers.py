@@ -8,10 +8,10 @@ through a pipe as a pickle.  The service pool inverts both decisions:
   keeps one :class:`ExperimentContext` per submitted spec, so trace
   construction, compiled kernels and the in-memory cell cache stay
   warm across every cell the worker ever serves, for every client.
-- **no pickle-over-pipe transport** -- a worker writes each result
-  straight into the shared persistent simcache (the same atomic
-  per-cell files a local run writes) and reports only ``(worker_id,
-  digest, error)`` over the result queue.  Values never cross a pipe;
+- **no pickle-over-pipe transport** -- a worker upserts each result
+  straight into the shared persistent simcache (the same SQLite
+  database a local run writes) and reports only ``(worker_id, digest,
+  error)`` over the result queue.  Values never cross a pipe;
   clients resolve digests from the cache or over HTTP.
 
 Workers are started via the ``forkserver`` context where available:
@@ -58,32 +58,32 @@ def worker_main(worker_id: int, task_queue, result_queue,
     from repro.simcache import SimCache
     cache = SimCache(cache_dir)
     contexts: dict = {}
-    with cache.hold():
-        while True:
-            task = task_queue.get()
-            if task is None:
-                break
-            digest, spec, wire_key = task
-            try:
-                fingerprint = spec_fingerprint(spec)
-                ctx = contexts.get(fingerprint)
-                if ctx is None:
-                    ctx = build_context(spec, simcache=cache)
-                    contexts[fingerprint] = ctx
-                key = decode_cell(wire_key)
-                cache_key = ctx._simcache_key(key)
-                stored = SimCache.key_digest(cache_key)
-                if stored != digest:
-                    raise RuntimeError(
-                        f"cache-key digest mismatch: dispatched "
-                        f"{digest[:12]}, computed {stored[:12]}")
-                value = ctx.compute_cell(key)
-                cache.store(cache_key, value)
-                error = None
-            except Exception as exc:  # report, never die
-                error = f"{type(exc).__name__}: {exc}"
-            result_queue.put((worker_id, digest, error))
+    while True:
+        task = task_queue.get()
+        if task is None:
+            break
+        digest, spec, wire_key = task
+        try:
+            fingerprint = spec_fingerprint(spec)
+            ctx = contexts.get(fingerprint)
+            if ctx is None:
+                ctx = build_context(spec, simcache=cache)
+                contexts[fingerprint] = ctx
+            key = decode_cell(wire_key)
+            cache_key = ctx._simcache_key(key)
+            stored = SimCache.key_digest(cache_key)
+            if stored != digest:
+                raise RuntimeError(
+                    f"cache-key digest mismatch: dispatched "
+                    f"{digest[:12]}, computed {stored[:12]}")
+            value = ctx.compute_cell(key)
+            cache.store(cache_key, value)
+            error = None
+        except Exception as exc:  # report, never die
+            error = f"{type(exc).__name__}: {exc}"
+        result_queue.put((worker_id, digest, error))
     cache.flush_stats()
+    cache.close()
 
 
 class WorkerHandle:

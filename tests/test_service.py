@@ -19,6 +19,7 @@ processes -- the same stack ``power5-repro serve`` runs.
 
 from __future__ import annotations
 
+import socket
 import threading
 
 import pytest
@@ -43,7 +44,7 @@ from repro.service import (
     decode_cell,
     encode_cell,
 )
-from repro.service import protocol
+from repro.service import protocol, server
 from repro.service.server import ServerConfig, ServiceHandle
 from repro.simcache import SimCache
 
@@ -307,6 +308,62 @@ def test_healthz_and_metrics_shape(tmp_path):
             client.status("jxxx")
     finally:
         handle.stop()
+
+
+@pytest.fixture(scope="module")
+def raw_server(tmp_path_factory):
+    """One single-worker server shared by the raw-socket tests."""
+    handle = _server(tmp_path_factory.mktemp("raw"), workers=1)
+    yield handle
+    handle.stop()
+
+
+def _raw_request(handle, data: bytes) -> int:
+    """Send ``data`` over a bare socket; the response's status code."""
+    with socket.create_connection(("127.0.0.1", handle.server.port),
+                                  timeout=30) as sock:
+        sock.sendall(data)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return int(reply.split(None, 2)[1])
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (b"POST /submit HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+    (b"POST /submit HTTP/1.1\r\nContent-Length: lots\r\n\r\n", 400),
+    (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+     413),
+    (b"GET /healthz HTTP/1.1\r\n" + b"X-Many: aaaaaaaa\r\n" * 2000
+     + b"\r\n", 413),
+    (b"POST /submit HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n",
+     413),
+    (b"GARBAGE\r\n\r\n", 400),
+    (b"GET /entry/not-a-digest HTTP/1.1\r\n\r\n", 400),
+    (b"GET /entry/../outside HTTP/1.1\r\n\r\n", 400),
+    (b"GET /entry/" + b"A" * 64 + b" HTTP/1.1\r\n\r\n", 400),
+    (b"GET /entry/" + b"0" * 64 + b" HTTP/1.1\r\n\r\n", 404),
+], ids=["negative-length", "non-integer-length", "long-header-line",
+        "header-section", "huge-length", "bad-request-line",
+        "bad-digest", "traversal-digest", "uppercase-digest",
+        "unknown-digest"])
+def test_malformed_and_oversized_requests_answered(raw_server,
+                                                   request_bytes, status):
+    """Hostile requests get a status code, never a dropped connection
+    or a hang, and the server keeps serving."""
+    assert _raw_request(raw_server, request_bytes) == status
+    assert ServiceClient(raw_server.url).healthz()["ok"] is True
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"GET /healthz HTTP/1.1\r\n",  # stalls after the request line
+    b"POST /submit HTTP/1.1\r\nContent-Length: 10\r\n\r\n{",
+], ids=["after-request-line", "mid-body"])
+def test_stalled_client_times_out_with_408(raw_server, monkeypatch,
+                                           request_bytes):
+    monkeypatch.setattr(server, "READ_TIMEOUT_S", 0.3)
+    assert _raw_request(raw_server, request_bytes) == 408
+    assert ServiceClient(raw_server.url).healthz()["ok"] is True
 
 
 def test_unreachable_server_raises_service_error():

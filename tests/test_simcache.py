@@ -14,8 +14,10 @@ Two properties carry the whole feature:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import pickle
+import sqlite3
 
 import pytest
 
@@ -218,13 +220,26 @@ def test_scope_isolation(tmp_path):
     assert base._simcache_key(pair) != governed._simcache_key(pair)
 
 
+def _rows(cache: SimCache) -> list:
+    """(digest, blob) of every entry, read straight from the database."""
+    with contextlib.closing(sqlite3.connect(cache.path)) as conn:
+        return conn.execute("SELECT digest, blob FROM entries").fetchall()
+
+
+def _put_row(cache: SimCache, digest: str, blob: bytes) -> None:
+    with contextlib.closing(sqlite3.connect(cache.path,
+                                            isolation_level=None)) as conn:
+        conn.execute("INSERT OR REPLACE INTO entries VALUES (?, ?)",
+                     (digest, blob))
+
+
 def test_corrupt_entry_recomputed(tmp_path):
-    """A truncated or garbage entry degrades to a miss, then heals."""
+    """A truncated or garbage row degrades to a miss, then heals."""
     cell = single_cell("ldint_l1")
     cold = _ctx(tmp_path)
     cold.prefetch([cell])
-    (entry,) = cold.simcache.entries()
-    entry.write_bytes(b"\x80garbage")
+    ((digest, _),) = _rows(cold.simcache)
+    _put_row(cold.simcache, digest, b"\x80garbage")
     warm = _ctx(tmp_path)
     assert warm.prefetch([cell]) == 1  # recomputed
     assert warm.simcache.misses == 1 and warm.simcache.stores == 1
@@ -234,14 +249,14 @@ def test_corrupt_entry_recomputed(tmp_path):
 
 
 def test_key_mismatch_treated_as_miss(tmp_path):
-    """An entry whose embedded key differs from the request misses."""
+    """A row whose embedded key differs from the request misses."""
     cache = SimCache(tmp_path)
-    key = ("fake", "key")
-    cache.store(key, 123)
-    (entry,) = cache.entries()
+    cache.store(("fake", "key"), 123)
+    ((_, blob),) = _rows(cache)
     other = ("other", "key")
-    entry.rename(cache._path(other))  # simulate a hash collision
+    _put_row(cache, SimCache.key_digest(other), blob)  # a hash collision
     assert cache.is_miss(cache.lookup(other))
+    assert cache.lookup(("fake", "key")) == 123
 
 
 def test_store_failures_degrade(tmp_path):
@@ -258,7 +273,7 @@ def test_store_failures_degrade(tmp_path):
 
 
 def test_clear_and_stats(tmp_path):
-    """clear() removes exactly the cache's own files."""
+    """clear() removes the rows and counters, and nothing else."""
     keep = tmp_path / "unrelated.txt"
     keep.write_text("keep me")
     cache = SimCache(tmp_path)
@@ -266,8 +281,7 @@ def test_clear_and_stats(tmp_path):
     cache.store(("b",), 2)
     cache.flush_stats()
     assert cache.stats()["entries"] == 2
-    swept = cache.clear()
-    assert swept["entries"] + swept["packed"] == 2
+    assert cache.clear() == 2
     assert cache.stats()["entries"] == 0
     assert cache.persistent_stats() == {"hits": 0, "misses": 0,
                                         "stores": 0}
@@ -285,162 +299,6 @@ def test_fingerprint_tracks_content():
     assert fp != workload_fingerprint("ldint_l1", tweaked)
 
 
-def test_pack_roundtrip(tmp_path):
-    """Packing folds every per-cell file into the shard, losslessly.
-
-    A warm context reading purely from the shard must return the same
-    bytes as the cold fill, with every lookup a hit.
-    """
-    cells = CELLS[:3]
-    cold = _ctx(tmp_path)
-    cold.prefetch(cells)
-    assert cold.simcache.pack() == len(cells)
-    assert cold.simcache.entries() == []  # per-cell files consumed
-    assert (tmp_path / "entries.shard").exists()
-    warm = _ctx(tmp_path)
-    assert warm.prefetch(cells) == 0
-    assert warm.simcache.hits == len(cells)
-    assert repr(warm._cache) == repr(cold._cache)
-
-
-def test_pack_keeps_per_cell_fallback(tmp_path):
-    """Cells stored after a pack live beside the shard and win lookups;
-    the next pack folds them in."""
-    cache = SimCache(tmp_path)
-    cache.store(("a",), 1)
-    assert cache.pack() == 1
-    cache.store(("b",), 2)  # post-pack: per-cell file
-    assert len(cache.entries()) == 1
-    fresh = SimCache(tmp_path)
-    assert fresh.lookup(("a",)) == 1  # from the shard
-    assert fresh.lookup(("b",)) == 2  # per-cell fallback
-    assert fresh.pack() == 2  # consolidated, old shard content kept
-    assert fresh.entries() == []
-    again = SimCache(tmp_path)
-    assert again.lookup(("a",)) == 1 and again.lookup(("b",)) == 2
-
-
-def test_repacked_cell_overrides_shard_copy(tmp_path):
-    """A cell re-stored after packing outranks its stale shard copy --
-    in the storing process immediately, on disk after the next pack."""
-    cache = SimCache(tmp_path)
-    cache.store(("a",), "old")
-    assert cache.pack() == 1
-    assert cache.lookup(("a",)) == "old"  # shard index now loaded
-    cache.store(("a",), "new")
-    assert cache.lookup(("a",)) == "new"
-    assert cache.pack() == 1  # per-cell copy wins the merge
-    assert SimCache(tmp_path).lookup(("a",)) == "new"
-
-
-def test_corrupt_shard_degrades_to_miss(tmp_path):
-    """A truncated or garbage shard never breaks lookups."""
-    cache = SimCache(tmp_path)
-    cache.store(("a",), 1)
-    cache.pack()
-    shard = tmp_path / "entries.shard"
-    shard.write_bytes(b"P5SHARD\x01garbage")
-    fresh = SimCache(tmp_path)
-    assert fresh.is_miss(fresh.lookup(("a",)))
-    fresh.store(("a",), 1)  # heals as a per-cell entry
-    assert fresh.lookup(("a",)) == 1
-
-
-def test_pack_empty_cache_is_noop(tmp_path):
-    cache = SimCache(tmp_path)
-    assert cache.pack() == 0
-    assert not (tmp_path / "entries.shard").exists()
-
-
-def test_clear_removes_shard(tmp_path):
-    cache = SimCache(tmp_path)
-    cache.store(("a",), 1)
-    cache.store(("b",), 2)
-    cache.pack()
-    cache.store(("c",), 3)
-    assert cache.stats()["entries"] == 3
-    assert cache.stats()["packed"] == 2
-    swept = cache.clear()
-    assert swept["entries"] + swept["packed"] == 3
-    assert cache.stats()["entries"] == 0
-    assert not (tmp_path / "entries.shard").exists()
-
-
-def test_clear_sweeps_droppings_but_keeps_live_holds(tmp_path):
-    """clear() sweeps spool/lock/hold droppings per category; hold
-    markers of live processes survive (they protect a running
-    service's cache view)."""
-    import os
-    cache = SimCache(tmp_path)
-    cache.store(("a",), 1)
-    cache.hits = 5
-    cache.flush_stats()  # leaves stats spool files behind
-    (tmp_path / "pack.lock").write_text("12345")
-    holds = tmp_path / "holds"
-    holds.mkdir()
-    live = holds / f"{os.getpid()}.live.hold"
-    live.write_text(str(os.getpid()))
-    (holds / "99999999.dead.hold").write_text("99999999")  # no such pid
-    swept = cache.clear()
-    assert swept["entries"] == 1
-    assert swept["locks"] == 1
-    assert swept["spool"] >= 1
-    assert swept["holds"] == 1  # dead-owner marker reaped
-    assert swept["live_holds"] == 1  # ours kept: the live-pid guard
-    assert live.exists()
-    assert not (holds / "99999999.dead.hold").exists()
-    assert not (tmp_path / "pack.lock").exists()
-    assert list(tmp_path.glob("stats-delta.*.json")) == []
-
-
-def test_pack_skipped_while_cache_is_held(tmp_path):
-    """pack() refuses while a live process holds the cache open --
-    deleting per-cell files under a running service would downgrade
-    its fresh stores to stale shard copies."""
-    cache = SimCache(tmp_path)
-    cache.store(("a",), 1)
-    cache.store(("b",), 2)
-    with cache.hold():
-        assert cache.pack() == 0
-        assert len(cache.entries()) == 2  # untouched
-        assert not (tmp_path / "entries.shard").exists()
-    assert cache.pack() == 2  # hold released: packing proceeds
-    assert cache.entries() == []
-
-
-def test_pack_ignores_dead_and_stale_holds(tmp_path):
-    """Holds of dead processes are reaped, not honoured forever."""
-    cache = SimCache(tmp_path)
-    cache.store(("a",), 1)
-    holds = tmp_path / "holds"
-    holds.mkdir()
-    (holds / "99999999.dead.hold").write_text("99999999")  # no such pid
-    stale = holds / "unreadable.hold"
-    stale.write_text("not-a-pid")
-    old = simstore._HOLD_STALE_S + 60
-    import os
-    import time as time_mod
-    os.utime(stale, (time_mod.time() - old, time_mod.time() - old))
-    assert cache.pack() == 1  # both holds dismissed
-    assert list(holds.glob("*.hold")) == []  # and reaped
-
-
-def test_pack_lock_prevents_concurrent_packs(tmp_path):
-    """A fresh pack.lock makes pack() yield; a stale one is broken."""
-    import os
-    import time as time_mod
-    cache = SimCache(tmp_path)
-    cache.store(("a",), 1)
-    lock = tmp_path / "pack.lock"
-    lock.write_text("12345")
-    assert cache.pack() == 0  # someone else is packing
-    assert lock.exists()  # their lock untouched
-    old = time_mod.time() - 3600
-    os.utime(lock, (old, old))  # holder crashed an hour ago
-    assert cache.pack() == 1
-    assert not lock.exists()
-
-
 def _flush_stats_worker(root):
     """Module-level for multiprocessing picklability."""
     cache = SimCache(root)
@@ -450,7 +308,7 @@ def _flush_stats_worker(root):
 
 def test_concurrent_stats_flushes_lose_nothing(tmp_path):
     """N processes flushing counters concurrently sum exactly -- the
-    read-modify-write race the delta-spool design eliminates."""
+    read-modify-write race a single UPDATE per flush rules out."""
     import multiprocessing
     ctx = multiprocessing.get_context("fork")
     procs = [ctx.Process(target=_flush_stats_worker, args=(tmp_path,))
@@ -465,21 +323,104 @@ def test_concurrent_stats_flushes_lose_nothing(tmp_path):
                                         "stores": 8}
 
 
-def test_stats_compaction_folds_deltas(tmp_path):
-    """Deltas fold into stats.json without changing the totals, and a
-    flush with zeroed counters is a pure compaction."""
+def test_flush_stats_resets_session_counters(tmp_path):
+    """A flush adds the session counters to the lifetime totals and
+    resets them, so repeat flushes are no-ops."""
     for _ in range(3):
         writer = SimCache(tmp_path)
         writer.hits, writer.misses, writer.stores = 5, 1, 2
         writer.flush_stats()
-        # flush resets the session counters: repeat flushes are no-ops.
         assert (writer.hits, writer.misses, writer.stores) == (0, 0, 0)
         writer.flush_stats()
     cache = SimCache(tmp_path)
     assert cache.persistent_stats() == {"hits": 15, "misses": 3,
                                         "stores": 6}
-    assert list(tmp_path.glob("stats-delta.*.json")) == []  # folded
-    assert (tmp_path / "stats.json").exists()
+
+
+def _store_worker(cache, index):
+    for n in range(40):
+        key = ("cell", (index + n) % 16)  # overlaps every other writer
+        cache.store(key, key)
+        assert cache.lookup(key) == key
+    cache.flush_stats()
+
+
+def test_concurrent_writers_store_overlapping_keys(tmp_path):
+    """Forked writers sharing the parent's open cache upsert the same
+    keys: every key reads back and the lifetime stats sum exactly."""
+    import multiprocessing
+    parent = SimCache(tmp_path)
+    parent.store(("seed",), 0)
+    parent.flush_stats()
+    ctx = multiprocessing.get_context("fork")
+    procs = [ctx.Process(target=_store_worker, args=(parent, i))
+             for i in range(8)]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+    for n in range(16):
+        assert parent.lookup(("cell", n)) == ("cell", n)
+    assert parent.stats()["entries"] == 17
+    assert SimCache(tmp_path).persistent_stats() == {
+        "hits": 320, "misses": 0, "stores": 321}
+
+
+def test_threads_share_one_cache(tmp_path):
+    """Threads using one SimCache at once (the job server's event loop
+    and keying executor) lose no row and no read."""
+    import sys
+    import threading
+    cache = SimCache(tmp_path)
+    reads = []
+
+    def work(index):
+        for n in range(100):
+            key = ("cell", (index + n) % 32)
+            cache.store(key, key)
+            reads.append(cache.lookup(key) == key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert reads == [True] * 800
+    assert (cache.stores, cache.stats()["entries"]) == (800, 32)
+
+
+def test_garbage_database_degrades_to_recompute(tmp_path):
+    """A cache file that is not a database never breaks a run; clear()
+    replaces it and caching resumes."""
+    cache = SimCache(tmp_path)
+    cache.path.write_bytes(b"\x80garbage" * 512)
+    ctx = ExperimentContext(config=POWER5.small(), min_repetitions=2,
+                            max_cycles=300_000, simcache=cache)
+    assert ctx.prefetch([single_cell("ldint_l1")]) == 1
+    assert ctx.single("ldint_l1").ipc > 0
+    assert cache.stores == 0 and cache.stats()["entries"] == 0
+    cache.flush_stats()  # swallowed
+    assert SimCache(tmp_path).clear() == 0
+    assert not cache.path.exists()
+    fresh = SimCache(tmp_path)
+    fresh.store(("k",), 1)
+    assert SimCache(tmp_path).lookup(("k",)) == 1
+
+
+def test_entry_digest_cannot_reach_outside_the_cache(tmp_path):
+    """raw_entry reads rows by key, never a path built from the digest."""
+    (tmp_path / "outside.pkl").write_bytes(b"secret")
+    cache = SimCache(tmp_path / "cache")
+    cache.store(("a",), 1)
+    assert cache.raw_entry("../outside") is None
 
 
 def test_values_pickle_stably(tmp_path):
