@@ -6,9 +6,9 @@ instances and, for ``n_cores > 1``, a :class:`SharedChipBus` whose
 ``hierarchy.chip_port``.  Cores only interact through that bus, and the
 bus schedules grants by *occupancy* (earliest feasible future slot, the
 same idiom as the per-core DRAM bus), so the chip can step its cores in
-coarse quanta without changing any result: a core telescoping
-through quiet periods books bus slots at decode time exactly as a
-per-cycle core would.
+``sync_quantum`` slices without changing any result: a core running
+ahead of its siblings within a slice books bus slots at decode time
+exactly as a lock-stepped core would.
 
 For ``n_cores == 1`` no bus is built and ``step`` delegates whole cycle
 counts straight to the core -- a one-core chip is bit-identical to a
@@ -107,10 +107,6 @@ class Chip:
         (core-id) order, and since they interact only through the
         occupancy-scheduled bus the quantum size and order never change
         simulated results -- only how far arbitration state runs ahead.
-        That invariance is what lets the slice grow adaptively: once
-        every active core is in a verified bus-quiet steady regime the
-        remaining span is handed over in one quantum, so array-engine
-        cores telescope chip runs instead of re-verifying per slice.
         """
         if self.config.n_cores == 1:
             if self._active[0]:
@@ -122,19 +118,6 @@ class Chip:
         bus = self.bus
         while remaining > 0:
             q = quantum if remaining >= quantum else remaining
-            # Adaptive slicing: when every active core sits in a
-            # verified bus-quiet steady regime (see
-            # ``SMTCore.steady_bus_quiet``), none of them can touch the
-            # shared bus until its regime voids, so synchronizing them
-            # every sync_quantum cycles buys nothing -- hand each core
-            # the whole remaining span and let its telescoper jump it.
-            # ``bus.advance`` only raises the pruning floor, so running
-            # arbitration state further ahead changes no grant.
-            if remaining > q and all(
-                    core.steady_bus_quiet()
-                    for core_id, core in enumerate(self.cores)
-                    if self._active[core_id]):
-                q = remaining
             bus.advance(self.now)
             for core_id, core in enumerate(self.cores):
                 if self._active[core_id]:

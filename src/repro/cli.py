@@ -73,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
              "0 = all cores; results are identical regardless")
     parser.add_argument(
         "--engine", choices=("array", "object"), default=None,
-        help="simulation engine: 'array' (compiled kernels + "
-             "steady-state replay; default) or 'object' (per-cycle "
-             "reference loop, slower, bit-identical results)")
+        help="simulation engine: 'array' (compiled trace kernels; "
+             "default) or 'object' (reference decode loop, slower, "
+             "bit-identical results)")
     parser.add_argument(
         "--json", metavar="PATH",
         help="also dump experiment data as JSON to PATH")
@@ -233,6 +233,21 @@ def _validate_args(args) -> str | None:
                   if value < 1]
     if bad_bounds:
         return "; ".join(bad_bounds)
+    if args.jobs < 0:
+        return f"--jobs must be >= 0 (0 = all cores), got {args.jobs}"
+    if args.pmu_sample < 0:
+        return f"--pmu-sample must be >= 0, got {args.pmu_sample}"
+    from repro.experiments.base import PRIORITY_PAIRS
+    if args.diff not in PRIORITY_PAIRS:
+        return (f"--diff must be in {min(PRIORITY_PAIRS)}.."
+                f"{max(PRIORITY_PAIRS)}, got {args.diff}")
+    from repro.microbench import MICROBENCHMARKS
+    for flag, name in (("--primary", args.primary),
+                       ("--secondary", args.secondary)):
+        if name not in MICROBENCHMARKS and not (
+                flag == "--secondary" and name == "none"):
+            return (f"unknown micro-benchmark {name!r} for {flag}; "
+                    f"available: {', '.join(sorted(MICROBENCHMARKS))}")
     if args.chip_cores < 1:
         return f"--chip-cores must be >= 1, got {args.chip_cores}"
     if args.chip_quota < 1:

@@ -131,10 +131,10 @@ class CoreConfig:
     low_power_decode_interval: int = 32  # (1,1) mode: 1 decode / N cycles
 
     # Simulation engine.  ``"array"`` (the default) precompiles each
-    # trace into per-group kernels, runs the inlined decode/issue/retire
-    # loop of :class:`repro.core.ArraySMTCore` and telescopes verified
-    # steady regimes; ``"object"`` is the per-cycle reference loop that
-    # walks per-instruction tuples through ``SMTCore._decode_slot``.
+    # trace into per-group kernels and runs the inlined decode/issue/
+    # retire loop of :class:`repro.core.ArraySMTCore`; ``"object"`` is
+    # the reference loop that walks per-instruction tuples through
+    # ``SMTCore._decode_slot``.  Both step one cycle at a time.
     # The switch never changes simulated behaviour -- both engines are
     # bit-identical on every counter -- so it is excluded from the
     # fingerprint and the object engine stays available as the

@@ -45,8 +45,6 @@ from __future__ import annotations
 
 from repro.config import CoreConfig
 from repro.core.smt_core import SMTCore
-from repro.core.steadyreplay import _VERIFIED as _VERIFIED_STATE
-from repro.core.steadyreplay import SteadyReplay
 from repro.core.thread import HardwareThread
 from repro.isa.compiled import SCOREBOARD_SLOTS
 from repro.isa.kernelgen import KernelConsts
@@ -157,17 +155,6 @@ class ArraySMTCore(SMTCore):
         self._dispatch_arb = None
         # Group width -> baked kernel constants.
         self._kern_consts: dict[int, KernelConsts] = {}
-        # Steady-state replay telescoping (exact whole-period jumps in
-        # uninstrumented runs).  The flag is an instance toggle rather
-        # than a CoreConfig field: jumps are bit-exact, so the knob is
-        # not part of the machine's identity (config fingerprints and
-        # cached results stay comparable across it).
-        self.steady_replay = True
-        self._steady: SteadyReplay | None = None
-
-    def load(self, *args, **kwargs) -> None:
-        super().load(*args, **kwargs)
-        self._steady = SteadyReplay(self)
 
     def _make_thread(self, thread_id: int, source: TraceSource,
                      privilege: PrivilegeLevel) -> ArrayThread:
@@ -256,56 +243,8 @@ class ArraySMTCore(SMTCore):
             self._dispatch_arb = arb
         return width, tab, len(tab)
 
-    def step(self, cycles: int) -> int:
-        """Simulate ``cycles`` cycles; returns cycles actually run.
-
-        Runs go through the steady-state replay driver
-        (:mod:`repro.core.steadyreplay`), which mixes dense spans with
-        exact whole-period jumps once the machine has settled into a
-        verified periodic regime.  Hooked runs (PMU sampling, the
-        governor, kernel timer ticks) telescope too: the driver clamps
-        every jump at the next pending fire time and dense spans fire
-        hooks at their exact cycle, so observations land on the same
-        cycles with the same counter values as a fully dense run.
-        Chip-attached cores (``hierarchy.chip_port``) telescope only
-        inside regimes verified to make zero shared-bus grants.  Only
-        the tracer and repetition gates -- per-cycle observers no jump
-        can reproduce -- force the plain dense path, as does
-        ``steady_replay = False``.
-        """
-        if cycles <= 0:
-            return 0
-        replay = self._steady
-        if (replay is None or replay.disabled
-                or not self.steady_replay
-                or self._tracer is not None
-                or self._rep_gate is not None):
-            return self._step_dense(cycles)
-        replay.run(self._cycle + cycles)
-        return cycles
-
-    def steady_bus_quiet(self) -> bool:
-        """True in a verified steady regime that never touches the bus.
-
-        :class:`~repro.chip.Chip` uses this to enlarge its
-        synchronization quantum: a chip-attached core only reaches
-        ``_VERIFIED`` when its verification period made zero shared-bus
-        grants, so until the regime voids it cannot interact with
-        sibling cores and fine slicing buys nothing.  Periodic hooks
-        (kernel timer, governor, sampler) do not disqualify a core:
-        they fire at their exact cycles inside any quantum (jumps clamp
-        at the next fire time) and touch only their own core's state.
-        """
-        replay = self._steady
-        return (replay is not None and not replay.disabled
-                and self.steady_replay
-                and replay.state == _VERIFIED_STATE
-                and replay.port_quiet
-                and self._tracer is None
-                and self._rep_gate is None)
-
-    def _step_dense(self, cycles: int) -> int:  # noqa: C901 (the hot loop)
-        """Simulate ``cycles`` cycles one at a time (no telescoping)."""
+    def step(self, cycles: int) -> int:  # noqa: C901 (the hot loop)
+        """Simulate ``cycles`` cycles; returns cycles actually run."""
         if cycles <= 0:
             return 0
         if self._tracer is not None or self._rep_gate is not None:
@@ -765,8 +704,6 @@ class ArraySMTCore(SMTCore):
                     if now >= h[1]:
                         h[1] += h[0]
                         h[2](self, now)
-                        if not h[3]:
-                            self._hook_mut_gen += 1
                 self._next_hook = min(h[1] for h in self._hooks)
                 if t0 is not None:
                     own0, gh0, ret0 = (t0.owned_slots, t0.gct_held,

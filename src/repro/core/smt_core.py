@@ -22,11 +22,10 @@ The step loop is written for speed (flat locals, integer op codes,
 minimal allocation): full experiment sweeps simulate hundreds of
 millions of cycles.
 
-This object engine is the per-cycle reference: ``step`` advances
-``now`` one cycle at a time, always.  The compiled array engine
-(:mod:`repro.core.array_engine`) shares its semantics and adds the
-steady-replay telescoper; the differential suites assert that both
-engines are bit-identical.
+This object engine is the per-cycle reference.  The compiled array
+engine (:mod:`repro.core.array_engine`) shares its semantics and steps
+cycle by cycle too; the differential suites assert that both engines
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -77,11 +76,8 @@ class SMTCore:
         self._cycle = 0
         self._gct_used = 0
         self._rep_gate: RepGate | None = None
-        # Periodic hooks: [period, next_fire, callable(core, now),
-        # observer].  Non-observer firings bump _hook_mut_gen, which
-        # the steady-replay telescoper treats as a regime void.
+        # Periodic hooks: [period, next_fire, callable(core, now)].
         self._hooks: list[list] = []
-        self._hook_mut_gen = 0
         # Earliest pending hook fire time (-1: no hooks).  Maintained
         # on registration and after every firing so hooks registered
         # mid-step (e.g. from another hook) are never silently skipped.
@@ -147,7 +143,6 @@ class SMTCore:
                     th.gated = True
         self._hooks = []
         self._next_hook = -1
-        self._hook_mut_gen = 0
         self._rebuild_arbiter()
 
     def _make_thread(self, thread_id: int, source: TraceSource,
@@ -163,42 +158,18 @@ class SMTCore:
         """Stop recording pipeline events."""
         self._tracer = None
 
-    def steady_bus_quiet(self) -> bool:
-        """True when this core is in a verified bus-quiet steady regime.
-
-        :class:`~repro.chip.Chip` consults this to enlarge its
-        synchronization quantum: a core whose verified steady period
-        makes zero shared-bus requests cannot interact with its
-        siblings, so slicing it finely buys nothing.  The object engine
-        never proves periodicity, hence always ``False``; the array
-        engine overrides this (see
-        :meth:`repro.core.array_engine.ArraySMTCore.steady_bus_quiet`).
-        """
-        return False
-
     def add_periodic_hook(self, period: int,
-                          hook: Callable[["SMTCore", int], None],
-                          observer: bool = False) -> None:
+                          hook: Callable[["SMTCore", int], None]) -> None:
         """Run ``hook(core, now)`` every ``period`` cycles.
 
         Used by the kernel models to inject timer interrupts (which on
-        a stock kernel reset thread priorities to MEDIUM).
-
-        ``observer=True`` declares that the hook perturbs the machine
-        -- if at all -- only through the priority interface or the
-        prefetch knobs (both of which the steady-replay telescoper
-        already watches): PMU samplers and governors qualify, as do
-        kernel timer ticks whose sole effect is a priority reset.  The
-        telescoper may then jump across the hook's firings while they
-        observe without acting; a hook left at the default
-        ``observer=False`` bumps :attr:`_hook_mut_gen` every firing,
-        voiding any verified steady regime (see
-        :mod:`repro.core.steadyreplay`).
+        a stock kernel reset thread priorities to MEDIUM), and by PMU
+        samplers and governors.
         """
         if period < 1:
             raise ValueError("hook period must be >= 1")
         fire = self._cycle + period
-        self._hooks.append([period, fire, hook, observer])
+        self._hooks.append([period, fire, hook])
         if self._next_hook < 0 or fire < self._next_hook:
             self._next_hook = fire
 
@@ -405,8 +376,6 @@ class SMTCore:
                     if now >= h[1]:
                         h[1] += h[0]
                         h[2](self, now)
-                        if not h[3]:
-                            self._hook_mut_gen += 1
                 self._next_hook = min(h[1] for h in self._hooks)
                 if arbiter is not self._arbiter:
                     arbiter = self._arbiter

@@ -8,7 +8,7 @@ nothing when detached.
 
 Interaction with the engines: tracing is **exact** on both.  Events
 are recorded at decode time, per instruction, which neither a
-compiled group kernel nor a telescoped jump can do, so an attached
+compiled group kernel can do, so an attached
 tracer routes the array engine to the per-cycle loop it inherits from
 the object engine.  Both engines therefore execute the identical
 sequence of decode cycles with identical machine state, and the

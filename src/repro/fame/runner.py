@@ -48,6 +48,10 @@ class FameResult:
 class FameRunner:
     """Drives :class:`SMTCore` to a FAME-convergent measurement."""
 
+    #: Always False (no engine skips cycles); kept for the benchmark's
+    #: span tracer, which reads it after every single-thread run.
+    last_steady_state = False
+
     def __init__(self, config: CoreConfig | None = None, *,
                  min_repetitions: int = 4,
                  max_repetitions: int = 64,
@@ -78,9 +82,6 @@ class FameRunner:
         self.max_cycles = max_cycles
         self.chunk = chunk
         self.warmup = warmup
-        #: True when the most recent run's core made at least one
-        #: telescoped jump (array engine with steady replay).
-        self.last_steady_state = False
 
     def run_pair(self, primary: TraceSource,
                  secondary: TraceSource | None,
@@ -103,7 +104,6 @@ class FameRunner:
         and the governor retunes it per epoch; its decision log rides
         on the PMU report when both are given.
         """
-        self.last_steady_state = False
         core = core or make_core(self.config)
         core.load([primary, secondary], priorities, privileges, rep_gate)
         if pmu is not None:
@@ -125,8 +125,6 @@ class FameRunner:
         finally:
             if gc_was_enabled:
                 gc.enable()
-        replay = getattr(core, "_steady", None)
-        self.last_steady_state = replay is not None and replay.jumps > 0
         return self._finish(core, active, pmu=pmu, governor=governor)
 
     def _finish(self, core: SMTCore, active: list[int],

@@ -22,8 +22,8 @@ events.
   transparent, pipeline, energy-budget, prefetch-adapt).
 
 Determinism: the epoch hook rides the existing periodic-hook
-machinery, which both simulation engines honour exactly (a telescoped
-jump never crosses a pending hook), and every policy is a pure
+machinery, which both simulation engines honour exactly (hooks fire
+at their exact cycle), and every policy is a pure
 function of its observations, so a governed run is bit-identical
 between the object and array engines and across worker processes.
 The differential test-suite asserts this.

@@ -133,13 +133,7 @@ class Governor:
         if bind is not None:
             bind(self)
         self._prev_bank = CounterBank.capture(core, cycles=core.cycle)
-        # Observer contract: the governor perturbs the machine only
-        # through the kernel's priority path and the prefetch knobs,
-        # both of which void a verified steady regime on their own
-        # (arbiter identity, ``knob_gen``), so the telescoper may jump
-        # between epoch boundaries while the policy holds steady.
-        core.add_periodic_hook(self.config.epoch, self._on_epoch,
-                               observer=True)
+        core.add_periodic_hook(self.config.epoch, self._on_epoch)
 
     # ------------------------------------------------------------------
     # The control loop

@@ -9,8 +9,7 @@ the hot simulation loop pays nothing for the PMU beyond those raw
 increments.
 
 Exactness: every captured value is a plain counter of the machine
-state, which both engines advance identically (a telescoped jump
-adds whole verified periods of every counter).  The differential
+state, which both engines advance identically.  The differential
 test-suite asserts bank equality across the full microbenchmark x
 priority-difference matrix.
 """

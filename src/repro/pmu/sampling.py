@@ -5,8 +5,8 @@ An :class:`IntervalSampler` registers a periodic hook on the core
 cycles, records the delta of a small set of counters per thread --
 IPC, decode-slot share, and L2-miss behaviour over the interval.
 
-The hook machinery is exact on both engines (a telescoped jump never
-crosses a pending hook), and the hook body only *reads* counters, so
+The hook machinery is exact on both engines (hooks fire at their
+exact cycle), and the hook body only *reads* counters, so
 sampling is non-intrusive: a sampled run retires the same
 instructions in the same cycles as an unsampled one, and the sample
 series is bit-identical between the object and array engines.  Both
@@ -61,10 +61,7 @@ class IntervalSampler:
         """
         self._last = {tid: self._read(core, tid) for tid in (0, 1)
                       if core._threads[tid] is not None}
-        # Pure observer: sampling reads counters and writes only its
-        # own sample list, so the steady-replay telescoper may jump
-        # between (never across) sample boundaries.
-        core.add_periodic_hook(self.period, self._on_tick, observer=True)
+        core.add_periodic_hook(self.period, self._on_tick)
 
     @staticmethod
     def _read(core, tid: int) -> tuple[int, int, int, int, int]:

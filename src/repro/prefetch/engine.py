@@ -33,8 +33,6 @@ already sits in the L2/L3 -- the useless/late split is the signal the
 Run-time control mirrors the priority interface: the patched kernel
 registers ``/sys/kernel/smt_prefetch/thread<T>/{enable,depth,degree}``
 files that call :meth:`set_enable`/:meth:`set_depth`/:meth:`set_degree`.
-Every knob write bumps ``knob_gen`` so the steady-replay telescoper
-can void a verified regime whose behaviour the write may have changed.
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ class PrefetchStats:
 class StreamPrefetcher:
     """Software-controlled stream/stride prefetcher of one core."""
 
-    __slots__ = ("config", "stats", "on", "depth", "degree", "knob_gen",
+    __slots__ = ("config", "stats", "on", "depth", "degree",
                  "_streams", "_inflight", "_prev", "_matches",
                  "_nstreams", "_line_bytes", "_mem_duration")
 
@@ -90,8 +88,6 @@ class StreamPrefetcher:
         self.on = [False, False]
         self.depth = [config.depth, config.depth]
         self.degree = [config.degree, config.degree]
-        # Generation counter of knob writes (telescoper regime guard).
-        self.knob_gen = 0
         self.reset()
 
     def reset(self) -> None:
@@ -105,7 +101,6 @@ class StreamPrefetcher:
         self._inflight: list[dict[int, int]] = [{}, {}]
         self._prev = [-1, -1]
         self.stats.reset()
-        self.knob_gen += 1
 
     # -- run-time control (the smt_prefetch sysfs files) ---------------
 
@@ -127,16 +122,13 @@ class StreamPrefetcher:
             if dropped:
                 self.stats.useless[thread_id] += dropped
                 self._inflight[thread_id] = {}
-        self.knob_gen += 1
 
     def set_depth(self, thread_id: int, depth: int) -> None:
         """Retune one thread's stream lookahead (1..MAX_DEPTH lines)."""
         if not 1 <= depth <= MAX_DEPTH:
             raise ValueError(
                 f"prefetch depth must be in 1..{MAX_DEPTH}, got {depth}")
-        if depth != self.depth[thread_id]:
-            self.depth[thread_id] = depth
-            self.knob_gen += 1
+        self.depth[thread_id] = depth
 
     def set_degree(self, thread_id: int, degree: int) -> None:
         """Retune one thread's fills-per-trigger (1..MAX_DEGREE)."""
@@ -144,9 +136,7 @@ class StreamPrefetcher:
             raise ValueError(
                 f"prefetch degree must be in 1..{MAX_DEGREE}, "
                 f"got {degree}")
-        if degree != self.degree[thread_id]:
-            self.degree[thread_id] = degree
-            self.knob_gen += 1
+        self.degree[thread_id] = degree
 
     # -- the demand-side hooks (called by MemoryHierarchy) -------------
 
@@ -189,8 +179,8 @@ class StreamPrefetcher:
                 # The stream predicted this miss: advance and run.
                 # The confidence count saturates at the confirmation
                 # threshold -- only the >= comparison below ever reads
-                # it, and a bounded count keeps a steady-state stream
-                # table exactly periodic (telescoper signature).
+                # it, and a bounded count keeps the stream table a
+                # function of the miss pattern, not of run length.
                 entry[0] = line
                 if entry[2] < self._matches:
                     entry[2] += 1
@@ -210,10 +200,9 @@ class StreamPrefetcher:
         else:
             # Replace the least-established stream (lowest confidence
             # count; first such slot on ties).  Victim choice is a
-            # pure function of table content -- a rotating round-robin
-            # pointer would add a hidden mod-N phase that multiplies
-            # the machine's steady-state period by N and defeats the
-            # telescoper's signature match.
+            # pure function of table content, so the prefetcher's
+            # state stays a function of what it has seen -- a rotating
+            # round-robin pointer would add hidden phase state.
             victim = min(range(self._nstreams),
                          key=lambda i: streams[i][2])
             streams[victim] = entry

@@ -42,13 +42,7 @@ class StockLinuxKernel:
     def install(self, core: SMTCore) -> None:
         """Attach the timer-tick hook to a loaded core."""
         self._core = core
-        # Observer contract: a kernel entry touches the machine only
-        # through the priority interface (the stock reset rebuilds the
-        # arbiter, which voids any verified steady regime by itself;
-        # the patched kernel's entry is a pure counter bump), so the
-        # telescoper may jump between timer ticks.
-        core.add_periodic_hook(self.timer_period, self._timer_tick,
-                               observer=True)
+        core.add_periodic_hook(self.timer_period, self._timer_tick)
 
     def _timer_tick(self, core: SMTCore, now: int) -> None:
         self.kernel_entry(core)
@@ -69,8 +63,8 @@ class StockLinuxKernel:
             self.priority_resets += 1
             # Rebuild only on an actual reset: an unchanged-priority
             # entry leaves the arbiter identical, and keeping the
-            # object stable lets the array engine's steady regime
-            # survive ticks that did nothing.
+            # object saves the array engine a dispatch-table rebuild
+            # on every tick that did nothing.
             core._rebuild_arbiter()
 
     # -- the three legitimate uses -------------------------------------

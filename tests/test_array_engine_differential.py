@@ -8,12 +8,14 @@ repetition time/retired series (hence the CPI stack and every figure),
 the PMU counter bank and interval samples, and the byte representation
 of whole sweeps whether computed serially or by worker processes.
 
-A long uninstrumented run additionally pins the steady-state replay
-telescoper (:mod:`repro.core.steadyreplay`): a telescoped run's final
-machine state matches the object engine's dense state exactly, and a
-single large ``step`` call matches the same run chopped into
-runner-sized chunks (jumps may land anywhere relative to caller
-boundaries).
+Long runs stepped directly on the core compare the complete machine
+state: an uninstrumented run, runs carrying periodic hooks (governor
+epochs, interval samplers, mutating timers) and scheduled chip runs
+must land on the object engine's state exactly, and a single large
+``step`` call must match the same run chopped into runner-sized
+chunks.  At the orchestration layer the ``governor`` experiment must
+render the same report serially, with worker processes and through the
+HTTP service backend.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import dataclasses
 
 import pytest
 
+from repro.chip import Chip, ChipConfig
 from repro.config import POWER5, CoreConfig
 from repro.core import make_core
 from repro.experiments.base import (
@@ -31,8 +34,16 @@ from repro.experiments.base import (
     single_cell,
 )
 from repro.fame import FameRunner
+from repro.governor import (
+    Governor,
+    GovernorConfig,
+    IpcBalancePolicy,
+    PrefetchAdaptPolicy,
+)
 from repro.microbench import MICROBENCHMARKS, make_microbenchmark
 from repro.pmu import Pmu
+from repro.pmu.sampling import IntervalSampler
+from repro.sched import Job, OsScheduler, make_allocation_policy
 
 SECONDARY_BASE = (1 << 27) + 8192
 
@@ -89,8 +100,7 @@ def test_fame_results_identical_across_engines(configs, bench, priorities):
 
 
 #: Instrumented subset: the paper's six evaluated benchmarks, favoured
-#: and inverted priorities.  PMU runs never telescope or fast-forward,
-#: so this pins the dense kernel path sample-by-sample.
+#: and inverted priorities, pinning the kernel path sample-by-sample.
 PMU_MATRIX = [(b, p) for b in ("cpu_int", "cpu_fp", "ldint_l1",
                                "ldint_l2", "ldint_mem", "lng_chain_cpuint")
               for p in ((4, 4), (6, 1))]
@@ -135,8 +145,28 @@ def test_array_sweep_serial_vs_jobs2_identical():
 
 
 # ----------------------------------------------------------------------
-# Steady-state replay telescoping
+# Machine state of long direct runs
 # ----------------------------------------------------------------------
+
+def _recency_sig(sets):
+    """Canonical (tags, recency order) form of one cache/TLB level.
+
+    Lookups compare stamps only within a set, so two states behave
+    identically iff each set holds the same tags in the same dict
+    order with the same stamp ranking -- eviction picks the minimum
+    stamp with dict-order tie-break, which this form pins exactly
+    while staying invariant to the absolute stamp values.
+    """
+    out = []
+    for s in sets:
+        if s:
+            vals = list(s.values())
+            out.append((tuple(s), tuple(sorted(range(len(vals)),
+                                               key=vals.__getitem__))))
+        else:
+            out.append(())
+    return tuple(out)
+
 
 def _machine_state(core):
     """Everything observable about post-run machine state.
@@ -150,7 +180,6 @@ def _machine_state(core):
     the state).  The object engine's scoreboard lacks the array
     engine's two sentinel slots, hence the ``NUM_REGS`` slice.
     """
-    from repro.core.steadyreplay import _recency_sig
     from repro.isa.registers import NUM_REGS
 
     now = core._cycle
@@ -280,8 +309,8 @@ def test_hooked_run_identical_across_engines(configs, period):
 @pytest.mark.parametrize("secondary,horizon",
                          [(None, 300_000), ("ldint_l2", 400_000)],
                          ids=["st", "smt"])
-def test_telescoped_state_matches_object_engine(secondary, horizon):
-    """A telescoped run's final state is the dense state, exactly.
+def test_long_run_state_matches_object_engine(secondary, horizon):
+    """A long array run's final state is the object engine's, exactly.
 
     Counters and repetition series must match bit-for-bit; time-stamped
     records (scoreboard, reservations, queue intervals) may differ only
@@ -294,15 +323,9 @@ def test_telescoped_state_matches_object_engine(secondary, horizon):
     obj = _loaded(dataclasses.replace(config, engine="object"), secondary)
     obj.step(horizon)
     assert _machine_state(array) == _machine_state(obj)
-    if secondary is None:
-        # The ST regime (period 896) must actually have telescoped;
-        # without this the equality above would only compare two dense
-        # runs and the jump path would be dead code in CI.
-        assert array._steady.jumps >= 1
-        assert array._steady.jumped_cycles > horizon // 2
 
 
-def test_telescoping_invariant_to_step_chunking():
+def test_state_invariant_to_step_chunking():
     """One big step call equals the same run in runner-sized chunks."""
     config = CoreConfig()
     one = _loaded(config, None)
@@ -314,16 +337,94 @@ def test_telescoping_invariant_to_step_chunking():
         chunked.step(n)
         stepped += n
     assert _machine_state(one) == _machine_state(chunked)
-    assert chunked._steady.jumps >= 1
 
 
-def test_steady_replay_toggle_is_behaviour_invariant():
-    """steady_replay=False forces dense stepping with equal results."""
-    config = CoreConfig()
-    fast = _loaded(config, None)
-    fast.step(120_000)
-    dense = _loaded(config, None)
-    dense.steady_replay = False
-    dense.step(120_000)
-    assert dense._steady.jumps == 0
-    assert _machine_state(fast) == _machine_state(dense)
+# ----------------------------------------------------------------------
+# Governed, sampled and scheduled-chip runs
+# ----------------------------------------------------------------------
+
+#: Governor epoch of the governed direct runs (a dozen epochs).
+EPOCH = 32_768
+
+
+@pytest.mark.parametrize("policy_cls,secondary", [
+    (IpcBalancePolicy, "cpu_int"),
+    (PrefetchAdaptPolicy, "ldint_l2"),
+], ids=["ipc_balance", "prefetch_adapt"])
+def test_governed_run_bit_identical_across_engines(configs, policy_cls,
+                                                   secondary):
+    """Same decisions and same machine state on both engines.
+
+    The decision log carries the epoch-boundary IPC readings each
+    decision was based on, so a hook firing on a different cycle or
+    seeing different counters fails here.
+    """
+    sigs = []
+    for config in configs:
+        core = _loaded(config, secondary)
+        gcfg = GovernorConfig(epoch=EPOCH)
+        gov = Governor(gcfg, policy_cls(gcfg))
+        gov.attach(core)
+        core.step(400_000)
+        sigs.append((_machine_state(core), repr(gov.decision_log())))
+    assert sigs[0] == sigs[1]
+
+
+@pytest.mark.parametrize("secondary", [None, "ldint_l2"], ids=["st", "smt"])
+def test_sampled_run_bit_identical_across_engines(configs, secondary):
+    """The interval-sample series and machine state match."""
+    sigs = []
+    for config in configs:
+        core = _loaded(config, secondary)
+        sampler = IntervalSampler(8192)
+        sampler.attach(core)
+        core.step(300_000)
+        sigs.append((_machine_state(core), repr(sampler.samples)))
+    assert sigs[0] == sigs[1]
+
+
+def test_scheduled_chip_run_bit_identical_across_engines(configs):
+    """A 2-core scheduled run: every decision, account and counter.
+
+    Scheduled cores carry the patched kernel's timer hook and a chip
+    port, so this covers hooks and the shared bus together.
+    """
+    reprs = []
+    for config in configs:
+        chip = Chip(ChipConfig(n_cores=2, core=config))
+        sched = OsScheduler(chip, make_allocation_policy("round_robin"),
+                            quantum=32_768)
+        result = sched.run([Job("cpu_int", repetitions=60)
+                            for _ in range(4)])
+        reprs.append(repr(result))
+    assert reprs[0] == reprs[1]
+
+
+def test_governor_experiment_serial_jobs_backend_identical(tmp_path):
+    """The governor experiment renders one report on every path.
+
+    Serial, ``--jobs 2`` (worker processes) and the HTTP service
+    backend must agree byte for byte under the array engine.
+    """
+    from repro.experiments import run_many
+    from repro.service import ServiceBackend
+    from repro.service.server import ServerConfig, ServiceHandle
+
+    def ctx(**kwargs):
+        return ExperimentContext(config=POWER5.small(),
+                                 min_repetitions=2,
+                                 max_cycles=200_000, **kwargs)
+
+    (serial,) = run_many(["governor"], ctx())
+    (jobs2,) = run_many(["governor"], ctx(jobs=2))
+    assert repr(jobs2) == repr(serial)
+
+    handle = ServiceHandle(ServerConfig(
+        port=0, workers=2, cache_dir=str(tmp_path / "svc-cache"),
+        retry_backoff=0.05)).start()
+    try:
+        (remote,) = run_many(
+            ["governor"], ctx(backend=ServiceBackend(handle.url)))
+    finally:
+        handle.stop()
+    assert repr(remote) == repr(serial)

@@ -29,14 +29,25 @@ class TestMain:
         assert "unknown experiment" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,message", [
-        (["--min-reps", "0"], "--min-reps must be >= 1, got 0"),
-        (["--max-cycles", "0"], "--max-cycles must be >= 1, got 0"),
-        (["--max-cycles", "-5", "--min-reps", "-1"],
+        (["table3", "--min-reps", "0"], "--min-reps must be >= 1, got 0"),
+        (["table3", "--max-cycles", "0"],
+         "--max-cycles must be >= 1, got 0"),
+        (["table3", "--max-cycles", "-5", "--min-reps", "-1"],
          "--min-reps must be >= 1, got -1; "
          "--max-cycles must be >= 1, got -5"),
-    ], ids=["min_reps", "max_cycles", "both"])
+        (["table3", "--jobs", "-3"], "--jobs must be >= 0"),
+        (["pmu", "--diff", "9"], "--diff must be in -5..5, got 9"),
+        (["pmu", "--pmu-sample", "-5"], "--pmu-sample must be >= 0"),
+        (["figure2", "--pmu", "--pmu-sample", "-5"],
+         "--pmu-sample must be >= 0"),
+        (["pmu", "--primary", "nope"],
+         "unknown micro-benchmark 'nope' for --primary"),
+        (["pmu", "--secondary", "nope"],
+         "unknown micro-benchmark 'nope' for --secondary"),
+    ], ids=["min_reps", "max_cycles", "both", "jobs", "diff",
+            "pmu_sample", "pmu_sample_flag", "primary", "secondary"])
     def test_bad_run_bounds_rejected(self, capsys, argv, message):
-        assert main(["table3", *argv]) == 2
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""

@@ -114,15 +114,13 @@ class TestFameRunner:
         with pytest.raises(ValueError):
             FameRunner(config, min_repetitions=5, max_repetitions=3)
 
-    @pytest.mark.parametrize("engine,telescoped",
-                             [("array", True), ("object", False)])
-    def test_last_steady_state_reports_telescoping(self, config, bench,
-                                                   engine, telescoped):
-        """True exactly when the run's core made a telescoped jump."""
+    @pytest.mark.parametrize("engine", ["array", "object"])
+    def test_last_steady_state_is_false(self, config, bench, engine):
+        """No engine skips cycles; span tracers still read the flag."""
         cfg = config.replace(engine=engine)
-        runner = FameRunner(cfg, min_repetitions=10)
+        runner = FameRunner(cfg, min_repetitions=3)
         runner.run_single(bench("cpu_int"))
-        assert runner.last_steady_state is telescoped
+        assert runner.last_steady_state is False
 
     def test_deterministic_measurements(self, config, bench):
         runner = FameRunner(config, min_repetitions=3)

@@ -6,9 +6,8 @@ writes issued inside a periodic core hook.  The contract under test:
 - the write takes effect at the next decode boundary -- the first
   decode after the hook's fire cycle uses the new arbiter, every slot
   before it the old one, exactly like an in-trace priority nop;
-- the effect is bit-identical across the per-cycle object reference
-  loop and the array engine (a telescoped jump may never cross the
-  actuation);
+- the effect is bit-identical across the object reference loop and
+  the array engine;
 - every applied write is counted as a ``PM_PRIO_CHANGE`` event.
 """
 

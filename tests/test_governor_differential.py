@@ -4,8 +4,7 @@ A governor is a periodic hook plus sysfs writes, so governed runs must
 inherit both determinism guarantees of the simulator:
 
 - **engine bit-identity**: the array engine produces results and
-  decision logs byte-identical to the per-cycle object reference loop
-  (a telescoped jump may never cross a governor epoch);
+  decision logs byte-identical to the object reference loop;
 - **process bit-identity**: governed sweep cells computed by worker
   processes (``jobs > 1``) equal the serial in-process computation.
 

@@ -7,7 +7,7 @@ normalisation, the default-off fingerprint guarantee), the
 content-determined stream victim, the in-flight cap and the run-time
 knobs), the patched kernel's ``/sys/kernel/smt_prefetch`` files, and
 the ``prefetch_adapt`` policy's registration and validation.  The
-cross-engine and telescoper guarantees live in
+cross-engine guarantees live in
 ``test_prefetch_differential.py``; end-to-end behaviour in the
 ``prefetch`` experiment's claims.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import POWER5, CoreConfig
+from repro.config import CoreConfig
 from repro.core import SMTCore
 from repro.governor import GovernorConfig
 from repro.governor.policies import POLICIES, make_policy
@@ -207,18 +207,6 @@ class TestStreamPrefetcher:
         assert not pf._inflight[0]
         assert not pf._streams[0]
 
-    def test_knob_writes_bump_generation(self):
-        pf, _ = _pf()
-        gen = pf.knob_gen
-        pf.set_depth(0, 8)
-        pf.set_degree(1, 4)
-        pf.set_enable(0, False)
-        assert pf.knob_gen == gen + 3
-        # No-op writes do not void telescoped regimes.
-        pf.set_depth(0, 8)
-        pf.set_enable(0, False)
-        assert pf.knob_gen == gen + 3
-
     def test_runtime_knob_validation(self):
         pf, _ = _pf()
         with pytest.raises(ValueError):
@@ -276,13 +264,11 @@ class TestPrefetchSysfs:
                                                      knob, value):
         core, kernel = _installed_kernel(config)
         pf = core.hierarchy.prefetcher
-        before = (list(pf.on), list(pf.depth), list(pf.degree),
-                  pf.knob_gen)
+        before = (list(pf.on), list(pf.depth), list(pf.degree))
         path = f"{PatchedKernel.PREFETCH_SYSFS_DIR}/thread0/{knob}"
         with pytest.raises(SysFSError):
             kernel.sysfs.write(path, value)
-        assert (list(pf.on), list(pf.depth), list(pf.degree),
-                pf.knob_gen) == before
+        assert (list(pf.on), list(pf.depth), list(pf.degree)) == before
 
 
 # -- the prefetch_adapt policy ------------------------------------------

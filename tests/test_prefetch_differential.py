@@ -10,13 +10,10 @@ FameResult counter and repetition series, the PMU counter bank
 the byte representation of whole sweeps whether computed serially, by
 worker processes, or through the HTTP service backend.
 
-A second battery pins the steady-state replay telescoper with the
-prefetcher live: stream tables, in-flight fills and all prefetch
-statistics must survive a telescoped jump exactly, and a single large
-``step`` call must equal the same run chopped into runner-sized
-chunks.  These tests assert ``jumps >= 1`` so the jump path cannot
-silently become dead code for prefetch-enabled runs (the regression
-that motivated the content-determined stream-victim policy).
+A second battery compares long prefetch-enabled runs directly on the
+core: stream tables, in-flight fills and all prefetch statistics must
+match the object engine after 400k cycles, and a single large ``step``
+call must equal the same run chopped into runner-sized chunks.
 """
 
 from __future__ import annotations
@@ -175,7 +172,7 @@ def test_prefetch_backend_identical_to_serial(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Steady-state replay telescoping with the prefetcher live
+# Long runs with the prefetcher live
 # ----------------------------------------------------------------------
 
 
@@ -189,7 +186,7 @@ def _pf_state(core):
     """The prefetcher's complete mutable state and statistics.
 
     In-flight ready times are compared absolutely: both cores sit at
-    the same cycle, so any drift a jump introduced would show.
+    the same cycle, so any drift would show.
     """
     pf = core.hierarchy.prefetcher
     return (tuple(tuple(tuple(e) for e in s) for s in pf._streams),
@@ -218,34 +215,27 @@ def _mem_state(core):
 #: Memory-resident walks exercising fills against every level below
 #: L1: the L2-resident walk takes the useless-filter path, the others
 #: the LMQ/DRAM fill path.
-TELESCOPE_BENCHES = ("ldint_l2", "ldint_l3", "ldint_mem")
+LONG_RUN_BENCHES = ("ldint_l2", "ldint_l3", "ldint_mem")
 
 
-@pytest.mark.parametrize("bench", TELESCOPE_BENCHES)
-def test_prefetch_telescoped_state_matches_dense(bench):
-    """A telescoped prefetch-enabled run lands on the dense state."""
+@pytest.mark.parametrize("bench", LONG_RUN_BENCHES)
+def test_prefetch_long_run_state_matches_object_engine(bench):
+    """A long prefetch-enabled array run lands on the object state."""
     config = _pf(CoreConfig())
-    fast = _loaded(config, bench)
-    fast.step(400_000)
-    dense = _loaded(dataclasses.replace(config, engine="object"), bench)
-    dense.step(400_000)
-    assert fast._steady.jumps >= 1  # the regime must actually verify
-    assert _pf_state(fast) == _pf_state(dense)
-    assert _thread_state(fast) == _thread_state(dense)
-    assert _mem_state(fast) == _mem_state(dense)
-    # The engine must have been live across the jump, not idle.
-    assert sum(fast.hierarchy.prefetcher.stats.issues) > 0
+    array = _loaded(config, bench)
+    array.step(400_000)
+    obj = _loaded(dataclasses.replace(config, engine="object"), bench)
+    obj.step(400_000)
+    assert _pf_state(array) == _pf_state(obj)
+    assert _thread_state(array) == _thread_state(obj)
+    assert _mem_state(array) == _mem_state(obj)
+    # The engine must have been live, not idle.
+    assert sum(array.hierarchy.prefetcher.stats.issues) > 0
 
 
-@pytest.mark.parametrize("bench", TELESCOPE_BENCHES)
-def test_prefetch_telescoping_invariant_to_step_chunking(bench):
-    """One big step equals the same run in runner-sized chunks.
-
-    The L3-resident walk's prefetch-on regime is longer than a runner
-    chunk, so its chunked run can never jump -- that case compares a
-    telescoped run against a dense one, the strongest form of the
-    invariance.  The other walks must jump on both sides.
-    """
+@pytest.mark.parametrize("bench", LONG_RUN_BENCHES)
+def test_prefetch_state_invariant_to_step_chunking(bench):
+    """One big step equals the same run in runner-sized chunks."""
     config = _pf(CoreConfig())
     one = _loaded(config, bench)
     one.step(400_000)
@@ -254,9 +244,6 @@ def test_prefetch_telescoping_invariant_to_step_chunking(bench):
     while stepped < 400_000:
         chunked.step(min(8192, 400_000 - stepped))
         stepped += 8192
-    assert one._steady.jumps >= 1
-    if bench != "ldint_l3":
-        assert chunked._steady.jumps >= 1
     assert _pf_state(one) == _pf_state(chunked)
     assert _thread_state(one) == _thread_state(chunked)
     assert _mem_state(one) == _mem_state(chunked)

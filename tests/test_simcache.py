@@ -187,10 +187,8 @@ def test_dense_era_cells_reused_across_engines(tmp_path):
 
     ``engine`` ("array" vs "object") is normalized out of the config
     fingerprint and deliberately absent from the key -- the engines
-    are bit-identical (differential suite), so a cache populated while
-    governed/sampled/chip cells still ran the object engine (or the
-    array engine's dense fallback, before jumps learned to clamp at
-    hook horizons) must be served verbatim to the telescoping engine.
+    are bit-identical (differential suite), so a cache populated by
+    the object engine must be served verbatim to the array engine.
     Pinned for every cell kind,
     then closed behaviourally: object-engine-computed cells are warm
     hits for an array-engine context.

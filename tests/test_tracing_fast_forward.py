@@ -2,8 +2,8 @@
 
 The decision (documented in :mod:`repro.core.tracing`): an attached
 tracer routes the array engine to the per-cycle loop it inherits from
-the object engine, because a telescoped jump or a compiled group
-kernel records no per-instruction events.  Both engines therefore
+the object engine, because a compiled group kernel records no
+per-instruction events.  Both engines therefore
 visit the same decode cycles with the same state, and the recorded
 (decode, issue, complete) triples must be bit-identical.  These
 regression tests pin that contract so a future array-engine change
