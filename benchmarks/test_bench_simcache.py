@@ -7,8 +7,9 @@ against a fresh cache directory:
 - **cold** -- empty cache, every cell simulated and stored;
 - **warm** -- new context, same directory, every cell served from
   disk;
-- **warm, jobs=2** -- same again with the parallel path enabled (all
-  hits, so no pool is ever forked; the path must still be identical).
+- **warm, --jobs 2** -- same again on a two-worker ``PoolBackend``
+  (all hits, so no pool is ever forked; the path must still be
+  identical).
 
 The three report lists must be byte-identical -- the cache is pure
 memoisation -- and the warm run must be at least ``WARM_FLOOR`` times
@@ -28,6 +29,7 @@ import time
 
 from repro.config import POWER5
 from repro.experiments import EXPERIMENTS, ExperimentContext, run_many
+from repro.experiments.parallel import PoolBackend
 from repro.simcache import SimCache
 from repro.workloads.tracecache import clear_cache
 
@@ -37,12 +39,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 WARM_FLOOR = 5.0
 
 
-def _run_suite(cache_dir, jobs: int = 1):
+def _run_suite(cache_dir, backend=None):
     """One full planned suite run; returns (reports, wall, stats)."""
     clear_cache()
     cache = SimCache(cache_dir) if cache_dir else None
     ctx = ExperimentContext(config=POWER5.small(), min_repetitions=3,
-                            max_cycles=2_500_000, jobs=jobs,
+                            max_cycles=2_500_000, backend=backend,
                             simcache=cache)
     start = time.perf_counter()
     reports = run_many(list(EXPERIMENTS), ctx)
@@ -55,7 +57,7 @@ def test_bench_simcache_cold_vs_warm():
     with tempfile.TemporaryDirectory() as tmp:
         cold_reports, cold_wall, cold_stats = _run_suite(tmp)
         warm_reports, warm_wall, warm_stats = _run_suite(tmp)
-        jobs_reports, jobs_wall, _ = _run_suite(tmp, jobs=2)
+        jobs_reports, jobs_wall, _ = _run_suite(tmp, PoolBackend(2))
 
     # Transparency: the cache changes when work happens, never what
     # any experiment reports.

@@ -69,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-measurement simulated-cycle budget")
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for sweep cells: 1 = serial (default), "
-             "0 = all cores; results are identical regardless")
+        help="local worker processes for missed cells: 1 = serial "
+             "(default), 0 = all cores; results are identical "
+             "regardless (not combinable with --backend)")
     parser.add_argument(
         "--engine", choices=("array", "object"), default=None,
         help="simulation engine: 'array' (compiled trace kernels; "
@@ -235,6 +236,9 @@ def _validate_args(args) -> str | None:
         return "; ".join(bad_bounds)
     if args.jobs < 0:
         return f"--jobs must be >= 0 (0 = all cores), got {args.jobs}"
+    if args.backend and args.jobs != 1:
+        return ("--jobs runs cells on local worker processes; with "
+                "--backend the job server's workers compute them")
     if args.pmu_sample < 0:
         return f"--pmu-sample must be >= 0, got {args.pmu_sample}"
     from repro.experiments.base import PRIORITY_PAIRS
@@ -350,10 +354,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.backend:
         from repro.service import ServiceBackend
         backend = ServiceBackend(args.backend)
+    elif args.jobs != 1:
+        from repro.experiments.parallel import PoolBackend
+        backend = PoolBackend(args.jobs)
     ctx = ExperimentContext(config=config,
                             min_repetitions=args.min_reps,
                             max_cycles=args.max_cycles,
-                            jobs=args.jobs,
                             pmu=args.pmu
                             or args.experiment in ("pmu", "dse",
                                                    "prefetch"),
@@ -384,8 +390,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if len(ids) > 1:
             # Cross-experiment planning: measure the deduplicated
-            # union of every cell up front (one batch, one worker
-            # pool); the per-experiment prefetches below then find
+            # union of every cell up front (one batch for the
+            # executor); the per-experiment prefetches below then find
             # everything cached.
             from repro.experiments.planner import prefetch_all
             start = time.time()
@@ -404,11 +410,11 @@ def main(argv: list[str] | None = None) -> int:
             reports.append(report)
     except Exception as exc:
         from repro.service import ServiceError
-        if backend is not None and isinstance(exc, ServiceError):
+        if args.backend and isinstance(exc, ServiceError):
             print(exc, file=sys.stderr)
             return 1
         raise
-    if backend is not None:
+    if args.backend:
         _print_service_summary(backend)
     if simcache is not None and (simcache.hits or simcache.misses):
         stats = simcache.stats()
@@ -497,12 +503,11 @@ def _run_submit(args, ctx: ExperimentContext) -> int:
         print(f"nothing to submit: {', '.join(ids)} plan no "
               f"measurement cells")
         return 0
-    from repro.service import ServiceClient, context_spec, encode_cell
+    from repro.service import ServiceClient, encode_cell
     client = ServiceClient(args.backend)
     try:
         submitted = client.submit(
-            context_spec(ctx),
-            [encode_cell(key) for key in plan["cells"]])
+            ctx.spec(), [encode_cell(key) for key in plan["cells"]])
     except ServiceError as exc:
         print(exc, file=sys.stderr)
         return 1

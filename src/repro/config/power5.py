@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import typing
 from dataclasses import dataclass, field
 
 from repro.prefetch.config import PrefetchConfig
@@ -182,6 +183,19 @@ class CoreConfig:
     def replace(self, **changes) -> "CoreConfig":
         """Return a copy with the given fields replaced."""
         return dataclasses.replace(self, **changes)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "CoreConfig":
+        """Rebuild a config from its :func:`dataclasses.asdict` form.
+
+        Nested blocks are rebuilt by their declared field types; an
+        unknown or malformed field raises ``TypeError``.
+        """
+        hints = typing.get_type_hints(cls)
+        return cls(**{
+            name: (hints[name](**value)
+                   if dataclasses.is_dataclass(hints.get(name)) else value)
+            for name, value in data.items()})
 
     def seconds(self, cycles: float) -> float:
         """Convert a cycle count to nominal wall-clock seconds."""

@@ -9,6 +9,9 @@ exactly once per context.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import typing
 from dataclasses import dataclass, field
 
 from repro.config import POWER5, CoreConfig
@@ -133,23 +136,26 @@ def governed_cell(primary: str, secondary: str,
     return ("governed", primary, secondary, priorities, policy, frozen)
 
 
+#: Fields that say where values are cached or computed, never what
+#: they are: they stay out of :meth:`ExperimentContext.spec`.
+_DEPLOYMENT_FIELDS = ("simcache", "backend")
+
+
 @dataclass
 class ExperimentContext:
     """Configuration + runner + memoised measurements.
 
-    ``jobs`` controls how :meth:`prefetch` computes missing cells:
-    1 (the default) runs them serially in-process; N > 1 dispatches
-    them to N worker processes; 0 uses every available core.  Each
-    cell is an independent deterministic simulation, so the results
-    are identical regardless of ``jobs`` (the test-suite asserts
-    byte-identical sweeps).
+    Every other field is the context's *spec* (:meth:`spec`): a cell's
+    value is a pure function of the spec and the cell key.  ``backend``
+    alone decides where :meth:`prefetch` computes missed cells, so the
+    results are identical whichever executor runs them (the test-suite
+    asserts byte-identical sweeps).
     """
 
     config: CoreConfig = field(default_factory=POWER5.small)
     min_repetitions: int = 3
     maiv: float = 0.01
     max_cycles: int = 2_500_000
-    jobs: int = 1
     #: Instrument every measurement with the emulated PMU; the frozen
     #: :class:`repro.pmu.PmuReport` rides on each cell's metrics.
     pmu: bool = False
@@ -183,15 +189,15 @@ class ExperimentContext:
     #: freshly simulated cells are bit-identical (differential-tested),
     #: so enabling it never changes a reported number.
     simcache: object = field(default=None, repr=False)
-    #: Optional remote execution backend (duck-typed:
+    #: Executor of cells missing from both caches (duck-typed:
     #: ``compute_cells(ctx, keys)`` yielding ``(key, value)`` in input
-    #: order, e.g. :class:`repro.service.ServiceBackend`).  When set,
-    #: cells missing from both caches are computed by the service's
-    #: worker pool instead of this process; results are verified
-    #: against locally computed cache keys, so they are byte-identical
-    #: to local runs.  Takes precedence over ``jobs``.
+    #: order).  ``None`` computes them serially in this process;
+    #: :class:`repro.experiments.parallel.PoolBackend` on local worker
+    #: processes; :class:`repro.service.ServiceBackend` on a job
+    #: server, whose answers are verified against locally computed
+    #: cache keys.
     backend: object = field(default=None, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -199,6 +205,43 @@ class ExperimentContext:
             self.config, min_repetitions=self.min_repetitions,
             maiv=self.maiv, max_cycles=self.max_cycles)
         self._sampler = None
+
+    def spec(self) -> dict:
+        """Every field a cell's value depends on, as plain JSON.
+
+        The field set is the dataclass's minus the deployment fields,
+        so a new knob cannot be left out.  The engine switch rides
+        inside the config (it is not part of the simcache key).
+        """
+        spec = {name: getattr(self, name) for name in _spec_types()}
+        spec["config"] = dataclasses.asdict(self.config)
+        return spec
+
+    @classmethod
+    def from_spec(cls, spec: dict, simcache=None) -> "ExperimentContext":
+        """The context a :meth:`spec` describes, on ``simcache``.
+
+        Strict, since specs cross process and network boundaries: a
+        missing or unknown key raises ``ValueError`` and a wrongly
+        typed value (a bool passing as a number included) ``TypeError``.
+        """
+        types = _spec_types()
+        missing = sorted(types.keys() - spec.keys())
+        unknown = sorted(spec.keys() - types.keys())
+        if missing or unknown:
+            raise ValueError(f"spec fields missing {missing}, "
+                             f"unknown {unknown}")
+        kwargs = dict(spec)
+        if isinstance(spec["config"], dict):
+            kwargs["config"] = CoreConfig.from_dict(spec["config"])
+        for name, allowed in types.items():
+            value = kwargs[name]
+            if (not isinstance(value, allowed)
+                    or isinstance(value, bool) and bool not in allowed):
+                names = " or ".join(t.__name__ for t in allowed)
+                raise TypeError(f"spec field {name!r} must be {names}, "
+                                f"got {value!r}")
+        return cls(simcache=simcache, **kwargs)
 
     def validate(self) -> None:
         """Reject inconsistent option combinations up front.
@@ -220,6 +263,10 @@ class ExperimentContext:
                     f"chip governor policy must be one of "
                     f"{sorted(CHIP_GOVERNOR_POLICIES)} (parameter-free "
                     f"policies), got {self.chip_governor!r}")
+        if isinstance(self.maiv, bool) or not (
+                isinstance(self.maiv, (int, float)) and self.maiv > 0):
+            raise ValueError(
+                f"maiv must be a positive number, got {self.maiv!r}")
         if self.max_cycles < 1:
             raise ValueError(
                 f"max_cycles must be >= 1, got {self.max_cycles}")
@@ -229,6 +276,9 @@ class ExperimentContext:
         if self.chip_quota < 1:
             raise ValueError(
                 f"chip_quota must be >= 1, got {self.chip_quota}")
+        if self.pmu_sample < 0:
+            raise ValueError(
+                f"pmu_sample must be >= 0, got {self.pmu_sample}")
         if self.pmu_sample and not self.pmu:
             raise ValueError(
                 "pmu_sample requires the PMU to be enabled (pmu=True); "
@@ -273,8 +323,7 @@ class ExperimentContext:
 
         ``key`` is a :func:`single_cell` or :func:`pair_cell` tuple.
         This is the one entry point through which every measurement is
-        produced -- serially via :meth:`single`/:meth:`pair`, or in a
-        worker process via :mod:`repro.experiments.parallel`.
+        produced, by whichever executor :meth:`prefetch` hands it to.
         """
         kind = key[0]
         pmu = self._make_pmu()
@@ -396,12 +445,12 @@ class ExperimentContext:
 
         Cells absent from the in-memory cache are first looked up in
         the persistent result cache (when enabled); the remainder are
-        simulated -- in parallel worker processes when ``jobs`` allows
-        -- persisted, and merged into the cache in input order, so
+        computed by ``backend`` (serially in-process when None),
+        persisted, and merged into the cache in input order, so
         subsequent :meth:`single`/:meth:`pair` calls are hits and the
-        cache fills identically regardless of ``jobs`` or cache
+        cache fills identically whatever the executor or cache
         temperature.  Experiments call this with their full cell list
-        up front; with ``jobs=1`` it degrades to the serial behaviour.
+        up front.
         """
         todo = [k for k in dict.fromkeys(cells) if k not in self._cache]
         if not todo:
@@ -414,20 +463,11 @@ class ExperimentContext:
                 missing.append(key)
             else:
                 resolved[key] = value
-        if missing:
-            if self.backend is not None:
-                for key, value in self.backend.compute_cells(self, missing):
-                    resolved[key] = value
-                    self._simcache_store(key, value)
-            elif self.jobs == 1 or len(missing) == 1:
-                for key in missing:
-                    resolved[key] = self.compute_cell(key)
-                    self._simcache_store(key, resolved[key])
-            else:
-                from repro.experiments.parallel import compute_cells
-                for key, value in compute_cells(self, missing):
-                    resolved[key] = value
-                    self._simcache_store(key, value)
+        computed = (serial_cells(self, missing) if self.backend is None
+                    else self.backend.compute_cells(self, missing))
+        for key, value in computed:
+            resolved[key] = value
+            self._simcache_store(key, value)
         for key in todo:
             self._cache[key] = resolved[key]
         return len(missing)
@@ -435,14 +475,7 @@ class ExperimentContext:
     def cell(self, key: tuple):
         """The metrics of an arbitrary cell key (memoised)."""
         if key not in self._cache:
-            value = self._simcache_lookup(key)
-            if value is None:
-                if self.backend is not None:
-                    ((_, value),) = self.backend.compute_cells(self, [key])
-                else:
-                    value = self.compute_cell(key)
-                self._simcache_store(key, value)
-            self._cache[key] = value
+            self.prefetch([key])
         return self._cache[key]
 
     def single(self, name: str) -> ThreadMetrics:
@@ -485,6 +518,25 @@ class ExperimentContext:
                 label = f"{primary}+{secondary} prio {prio_p}v{prio_s}"
             out.append((label, report))
         return out
+
+
+def serial_cells(ctx: ExperimentContext, keys):
+    """The in-process executor (``backend=None``): yield ``(key,
+    value)`` for every key, in input order."""
+    for key in keys:
+        yield key, ctx.compute_cell(key)
+
+
+@functools.cache
+def _spec_types() -> dict:
+    """Spec field name -> the types its value may have."""
+    hints = typing.get_type_hints(ExperimentContext)
+    types = {}
+    for f in dataclasses.fields(ExperimentContext):
+        if f.init and f.name not in _DEPLOYMENT_FIELDS:
+            allowed = typing.get_args(hints[f.name]) or (hints[f.name],)
+            types[f.name] = allowed + (int,) if float in allowed else allowed
+    return types
 
 
 def _thread_metrics(tr, name: str, priority: int,

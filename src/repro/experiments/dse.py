@@ -31,6 +31,8 @@ depend on them.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.experiments.base import (
     ExperimentContext,
     governed_cell,
@@ -96,23 +98,8 @@ def _energy_ctx(ctx: ExperimentContext) -> ExperimentContext:
         return ctx
     twin = getattr(ctx, "_energy_twin", None)
     if twin is None:
-        twin = ExperimentContext(
-            config=ctx.config,
-            min_repetitions=ctx.min_repetitions,
-            maiv=ctx.maiv,
-            max_cycles=ctx.max_cycles,
-            jobs=ctx.jobs,
-            pmu=True,
-            pmu_sample=ctx.pmu_sample,
-            governor=None,
-            governor_epoch=ctx.governor_epoch,
-            chip_cores=ctx.chip_cores,
-            chip_quota=ctx.chip_quota,
-            chip_governor=None,
-            energy_node=ctx.energy_node,
-            energy_freq=ctx.energy_freq,
-            simcache=ctx.simcache,
-            backend=ctx.backend)
+        twin = dataclasses.replace(ctx, pmu=True, governor=None,
+                                   chip_governor=None)
         ctx._energy_twin = twin
     return twin
 

@@ -1,26 +1,19 @@
-"""Parallel execution of independent measurement cells.
+"""The worker-pool executor: missed cells on local processes.
 
-Every cell of a priority sweep -- one (workloads, priorities)
-combination driven to FAME convergence -- is an independent,
-deterministic simulation.  That makes the sweep embarrassingly
-parallel: cells are dispatched to a pool of worker processes and the
-results merged back into the :class:`ExperimentContext` cache.
+Every sweep cell is an independent, deterministic simulation.  All
+executors behind ``ExperimentContext.backend`` share one contract --
+``compute_cells(ctx, keys)`` yields ``(key, value)`` in input order --
+and the context keeps the simcache lookup and store above them:
+``None`` computes serially in-process, :class:`PoolBackend` on
+``--jobs N`` worker processes and :class:`repro.service.ServiceBackend`
+on a job server (``--backend``).
 
-Determinism is preserved end to end:
-
-- each worker simulates a cell exactly as a serial run would (same
-  config, same runner parameters, same workload construction), so a
-  cell's value does not depend on which process computed it;
-- results are merged in submission order (``executor.map`` preserves
-  input order), so the cache fills identically to a serial run.
-
-The equivalence is asserted by the test-suite (parallel sweeps must be
-byte-identical to serial ones).
-
-Workers are forked lazily per :func:`compute_cells` call and torn down
-afterwards; each worker keeps one private :class:`ExperimentContext`,
-so trace construction and warm caches amortise across the cells it
-serves.
+Each pool worker rebuilds the context from ``ctx.spec()``, so it
+simulates a cell exactly as a serial run would, and ``executor.map``
+yields in submission order, so the cache fills identically to a
+serial run (asserted by the test-suite).  Workers are forked per
+:meth:`PoolBackend.compute_cells` call; each keeps one private
+context, so trace construction amortises across the cells it serves.
 """
 
 from __future__ import annotations
@@ -29,74 +22,46 @@ import os
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 
-#: Cache key of one measurement cell (see ExperimentContext.prefetch):
-#: ("single", name) or ("pair", primary, secondary, (prio_p, prio_s)).
-Cell = tuple
+from repro.experiments.base import ExperimentContext, serial_cells
+from repro.simcache import check_versions, versions
 
 #: The per-process context, created by the pool initializer.
 _WORKER_CTX = None
 
 
-def default_jobs() -> int:
-    """Worker count used for ``jobs=0`` (all available cores)."""
-    return os.cpu_count() or 1
-
-
-def _init_worker(config, min_repetitions: int, maiv: float,
-                 max_cycles: int, pmu: bool = False,
-                 pmu_sample: int = 0, governor: str | None = None,
-                 governor_epoch: int = 0, chip_cores: int = 2,
-                 chip_quota: int = 4, chip_governor: str | None = None,
-                 schema_version: int | None = None,
-                 result_version: int | None = None) -> None:
-    from repro.experiments.base import ExperimentContext
-    from repro.simcache import RESULT_VERSION
-    from repro.workloads.tracecache import SCHEMA_VERSION
-    if schema_version is not None and schema_version != SCHEMA_VERSION:
-        # The parent serialized cells under a different result schema
-        # than this worker's code produces; refusing up front beats
-        # silently merging incompatible values into the sweep cache.
-        raise RuntimeError(
-            f"result schema mismatch: coordinator v{schema_version}, "
-            f"worker v{SCHEMA_VERSION}")
-    if result_version is not None and result_version != RESULT_VERSION:
-        # Same handshake for the persistent result cache's value
-        # format: the coordinator persists what workers return, so a
-        # worker producing a different format would poison the disk
-        # cache for every later invocation.
-        raise RuntimeError(
-            f"result format mismatch: coordinator v{result_version}, "
-            f"worker v{RESULT_VERSION}")
+def _init_worker(spec: dict, coordinator_versions: dict) -> None:
+    mismatch = check_versions(coordinator_versions)
+    if mismatch is not None:
+        raise RuntimeError(mismatch)
     global _WORKER_CTX
-    _WORKER_CTX = ExperimentContext(
-        config=config, min_repetitions=min_repetitions, maiv=maiv,
-        max_cycles=max_cycles, pmu=pmu, pmu_sample=pmu_sample,
-        governor=governor, governor_epoch=governor_epoch,
-        chip_cores=chip_cores, chip_quota=chip_quota,
-        chip_governor=chip_governor)
+    _WORKER_CTX = ExperimentContext.from_spec(spec)
 
 
-def _run_cell(key: Cell):
+def _run_cell(key: tuple):
     return _WORKER_CTX.compute_cell(key)
 
 
-def compute_cells(ctx, keys: Iterable[Cell]) -> Iterator[tuple[Cell, object]]:
-    """Compute ``keys`` on a worker pool; yield (key, value) in order.
+class PoolBackend:
+    """Compute missed cells on ``jobs`` worker processes (0 = all cores).
 
-    ``ctx`` supplies the machine configuration and runner parameters;
-    its cache is *not* consulted here (the caller filters cached keys)
-    and not written (the caller owns the merge).
+    A batch that would occupy one worker is computed in-process:
+    forking buys nothing for it.
     """
-    from repro.simcache import RESULT_VERSION
-    from repro.workloads.tracecache import SCHEMA_VERSION
-    keys = list(keys)
-    jobs = min(ctx.jobs if ctx.jobs > 0 else default_jobs(), len(keys))
-    with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(ctx.config, ctx.min_repetitions, ctx.maiv,
-                      ctx.max_cycles, ctx.pmu, ctx.pmu_sample,
-                      ctx.governor, ctx.governor_epoch,
-                      ctx.chip_cores, ctx.chip_quota, ctx.chip_governor,
-                      SCHEMA_VERSION, RESULT_VERSION)) as pool:
-        yield from zip(keys, pool.map(_run_cell, keys))
+
+    def __init__(self, jobs: int = 0) -> None:
+        if jobs < 0:
+            raise ValueError(f"jobs must be >= 0 (0 = all cores), got {jobs}")
+        self.jobs = jobs
+
+    def compute_cells(self, ctx: ExperimentContext,
+                      keys: Iterable[tuple]) -> Iterator[tuple[tuple, object]]:
+        """Yield ``(key, value)`` for every key, in input order."""
+        keys = list(keys)
+        workers = min(self.jobs or os.cpu_count() or 1, len(keys))
+        if workers <= 1:
+            yield from serial_cells(ctx, keys)
+            return
+        with ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker,
+                initargs=(ctx.spec(), versions())) as pool:
+            yield from zip(keys, pool.map(_run_cell, keys))

@@ -6,18 +6,20 @@ slice, Figure 6 reuses the single-thread baselines, and the governor
 and chip experiments share SPEC solo runs.  Run one at a time, each
 experiment's :meth:`~repro.experiments.base.ExperimentContext.prefetch`
 only deduplicates *within* its own batch (plus whatever an earlier
-experiment happened to leave in the shared in-memory cache) -- and a
-parallel sweep dispatches one worker pool per batch, so late batches
-with few missing cells waste the pool.
+experiment happened to leave in the shared in-memory cache) -- and an
+executor pays its start-up per batch (a ``--jobs`` sweep forks one
+worker pool per batch), so late batches with few missing cells waste
+it.
 
 This module plans ahead instead: it collects the union of every cell
 the selected experiments will consume, deduplicates it, and issues it
-as one prefetch.  Each unique cell is simulated exactly once -- by one
-worker of one pool when ``jobs`` allows -- and the results fan out to
-every experiment through the context cache.  The experiments' own
-``prefetch`` calls then find everything already measured and become
-no-ops, so running them after :func:`prefetch_all` changes no reported
-number (the test-suite asserts byte-identical reports).
+as one prefetch.  Each unique cell is simulated exactly once -- by
+whichever executor the context's ``backend`` names -- and the results
+fan out to every experiment through the context cache.  The
+experiments' own ``prefetch`` calls then find everything already
+measured and become no-ops, so running them after
+:func:`prefetch_all` changes no reported number (the test-suite
+asserts byte-identical reports).
 
 Planning is two-phase because not every cell key is knowable up
 front: the governor experiment's transparent-policy cells embed the

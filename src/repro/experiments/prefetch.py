@@ -32,6 +32,8 @@ cell embeds the policy's starting knobs in its key params.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.experiments.base import (
     ExperimentContext,
     governed_cell,
@@ -125,23 +127,8 @@ def _point_ctx(ctx: ExperimentContext, depth: int,
 
 
 def _twin(ctx: ExperimentContext, config) -> ExperimentContext:
-    return ExperimentContext(
-        config=config,
-        min_repetitions=ctx.min_repetitions,
-        maiv=ctx.maiv,
-        max_cycles=ctx.max_cycles,
-        jobs=ctx.jobs,
-        pmu=True,
-        pmu_sample=ctx.pmu_sample,
-        governor=None,
-        governor_epoch=ctx.governor_epoch,
-        chip_cores=ctx.chip_cores,
-        chip_quota=ctx.chip_quota,
-        chip_governor=None,
-        energy_node=ctx.energy_node,
-        energy_freq=ctx.energy_freq,
-        simcache=ctx.simcache,
-        backend=ctx.backend)
+    return dataclasses.replace(ctx, config=config, pmu=True, governor=None,
+                               chip_governor=None)
 
 
 def _matrix_cells(pairs: tuple = PREFETCH_PAIRS,

@@ -16,13 +16,7 @@ tests -- so the backend is pure transport, never semantics.
 """
 
 from repro.service.client import ServiceBackend, ServiceClient, ServiceError
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    build_context,
-    context_spec,
-    decode_cell,
-    encode_cell,
-)
+from repro.service.protocol import PROTOCOL_VERSION, decode_cell, encode_cell
 from repro.service.server import ServerConfig, ServiceHandle, ServiceServer, serve
 
 __all__ = [
@@ -33,8 +27,6 @@ __all__ = [
     "ServiceError",
     "ServiceHandle",
     "ServiceServer",
-    "build_context",
-    "context_spec",
     "decode_cell",
     "encode_cell",
     "serve",

@@ -2,11 +2,11 @@
 
 :class:`ServiceClient` is the thin wire layer (stdlib ``urllib``, JSON
 in/out, bounded connection retries).  :class:`ServiceBackend` adapts
-it to the contract of
-:func:`repro.experiments.parallel.compute_cells`: given a context and
-a list of missing cell keys, yield ``(key, value)`` pairs in input
+it to the executor contract of ``ExperimentContext.backend`` (shared
+with :class:`repro.experiments.parallel.PoolBackend`): given a context
+and a list of missing cell keys, yield ``(key, value)`` pairs in input
 order.  An :class:`~repro.experiments.base.ExperimentContext` with its
-``backend`` field set routes every miss through here, so *any*
+``backend`` field set to one routes every miss through here, so *any*
 experiment gains distributed execution without knowing the service
 exists -- and because values are resolved from the same simcache
 entries a local run would write (or fetched and key-verified over
@@ -147,7 +147,7 @@ class ServiceBackend:
     Drop-in for the ``backend`` field of
     :class:`~repro.experiments.base.ExperimentContext`; the
     ``compute_cells`` contract matches
-    :func:`repro.experiments.parallel.compute_cells`.
+    :class:`repro.experiments.parallel.PoolBackend`.
     """
 
     def __init__(self, base_url: str, timeout: float = 60.0,
@@ -170,9 +170,8 @@ class ServiceBackend:
         keys = list(keys)
         if not keys:
             return
-        spec = protocol.context_spec(ctx)
         wire = [protocol.encode_cell(key) for key in keys]
-        submitted = self.client.submit(spec, wire)
+        submitted = self.client.submit(ctx.spec(), wire)
         self.last_submit = submitted
         job_id = submitted["job"]
         status = self.client.wait(job_id, poll=self.poll)

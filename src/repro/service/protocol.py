@@ -3,11 +3,13 @@
 Three kinds of payload cross the wire, and measurement *values* are
 deliberately not one of them:
 
-- **specs** -- every :class:`~repro.experiments.base.ExperimentContext`
+- **specs** -- :meth:`ExperimentContext.spec
+  <repro.experiments.base.ExperimentContext.spec>`: every context
   parameter a cell's value is a function of (the machine configuration
   and the runner/instrumentation knobs), as plain JSON.  The server
-  rebuilds an equivalent context from the spec, so server-side cache
-  keys are computed by exactly the code path a local run uses.
+  rebuilds an equivalent context with ``ExperimentContext.from_spec``,
+  which refuses malformed specs (HTTP 400), so server-side cache keys
+  are computed by exactly the code path a local run uses.
 - **cell keys** -- the ``("single", ...)`` / ``("pair", ...)`` tuples
   of the experiment layer, encoded as nested JSON arrays.  Decoding
   turns arrays back into tuples recursively, and JSON round-trips
@@ -23,25 +25,14 @@ deliberately not one of them:
 
 Every submission carries a version handshake (protocol, trace schema,
 result format); the server rejects mismatches up front with HTTP 409,
-mirroring the worker-pool handshake of
-:mod:`repro.experiments.parallel`.
+through the same :func:`repro.simcache.check_versions` a local worker
+pool runs.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-
-from repro.config.power5 import (
-    BalancerConfig,
-    BranchConfig,
-    CacheConfig,
-    CoreConfig,
-    MemoryConfig,
-    TLBConfig,
-)
-from repro.prefetch.config import PrefetchConfig
 
 #: Version of the request/response shapes described above.  Bump on
 #: any incompatible change; mismatched peers are refused at submit.
@@ -54,37 +45,6 @@ from repro.prefetch.config import PrefetchConfig
 #: -- a v3 peer's config would fail to decode instead of meeting the
 #: version check.
 PROTOCOL_VERSION = 4
-
-#: Context parameters that ride in a spec, in addition to the machine
-#: configuration.  Everything :meth:`ExperimentContext._simcache_key`
-#: consumes must be here -- a missing knob would make server-side keys
-#: silently diverge from client-side ones.
-SPEC_FIELDS = (
-    "min_repetitions",
-    "maiv",
-    "max_cycles",
-    "pmu",
-    "pmu_sample",
-    "governor",
-    "governor_epoch",
-    "chip_cores",
-    "chip_quota",
-    "chip_governor",
-    "energy_node",
-    "energy_freq",
-)
-
-#: Nested dataclasses of :class:`CoreConfig`, decoded by field name.
-_CONFIG_NESTED = (
-    ("l1d", CacheConfig),
-    ("l2", CacheConfig),
-    ("l3", CacheConfig),
-    ("tlb", TLBConfig),
-    ("memory", MemoryConfig),
-    ("branch", BranchConfig),
-    ("balancer", BalancerConfig),
-    ("prefetch", PrefetchConfig),
-)
 
 
 def encode_cell(key: tuple) -> list:
@@ -109,38 +69,6 @@ def decode_cell(obj) -> tuple:
     return obj
 
 
-def context_spec(ctx) -> dict:
-    """The wire spec of an :class:`ExperimentContext`.
-
-    The engine switch rides along inside the config, so the server
-    simulates on the client's engine.  It is not part of the simcache
-    key: both engines produce bit-identical results.
-    """
-    spec = {name: getattr(ctx, name) for name in SPEC_FIELDS}
-    spec["config"] = dataclasses.asdict(ctx.config)
-    return spec
-
-
-def decode_config(data: dict) -> CoreConfig:
-    """Rebuild a :class:`CoreConfig` from its ``asdict`` form."""
-    data = dict(data)
-    for name, cls in _CONFIG_NESTED:
-        data[name] = cls(**data[name])
-    return CoreConfig(**data)
-
-
-def build_context(spec: dict, simcache=None, jobs: int = 1):
-    """An :class:`ExperimentContext` equivalent to the spec's sender.
-
-    Raises ``ValueError``/``TypeError``/``KeyError`` on malformed
-    specs; the server maps those to HTTP 400.
-    """
-    from repro.experiments.base import ExperimentContext
-    kwargs = {name: spec[name] for name in SPEC_FIELDS}
-    return ExperimentContext(config=decode_config(spec["config"]),
-                             simcache=simcache, jobs=jobs, **kwargs)
-
-
 def spec_fingerprint(spec: dict) -> str:
     """Stable short hash of a spec (worker/server context memo key)."""
     canonical = json.dumps(spec, sort_keys=True)
@@ -149,19 +77,5 @@ def spec_fingerprint(spec: dict) -> str:
 
 def handshake() -> dict:
     """The version triple every submission carries."""
-    from repro.simcache import RESULT_VERSION
-    from repro.workloads.tracecache import SCHEMA_VERSION
-    return {"protocol": PROTOCOL_VERSION,
-            "schema": SCHEMA_VERSION,
-            "result": RESULT_VERSION}
-
-
-def check_handshake(payload: dict) -> str | None:
-    """An error message when the peer's versions mismatch, else None."""
-    ours = handshake()
-    for name, version in ours.items():
-        theirs = payload.get(name)
-        if theirs != version:
-            return (f"{name} version mismatch: client v{theirs}, "
-                    f"server v{version}")
-    return None
+    from repro.simcache import versions
+    return {"protocol": PROTOCOL_VERSION, **versions()}

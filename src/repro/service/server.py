@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 from repro.service import protocol
 from repro.service.workers import WorkerPool
-from repro.simcache import SimCache
+from repro.simcache import SimCache, check_versions
 
 #: Cell lifecycle states (also the wire vocabulary of /status and
 #: /results).
@@ -303,11 +303,12 @@ class ServiceServer:
     # -- request handlers -----------------------------------------------
 
     def _keying_context(self, spec: dict):
+        from repro.experiments.base import ExperimentContext
         fingerprint = protocol.spec_fingerprint(spec)
         with self._keying_lock:
             ctx = self._keying.get(fingerprint)
             if ctx is None:
-                ctx = protocol.build_context(spec)
+                ctx = ExperimentContext.from_spec(spec)
                 self._keying[fingerprint] = ctx
         return ctx
 
@@ -335,7 +336,7 @@ class ServiceServer:
     async def _submit(self, payload: dict) -> tuple[int, dict]:
         if self._draining:
             return 503, {"error": "server is draining"}
-        mismatch = protocol.check_handshake(payload)
+        mismatch = check_versions(payload, protocol.handshake())
         if mismatch is not None:
             return 409, {"error": mismatch}
         spec = payload.get("spec")

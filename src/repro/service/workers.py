@@ -1,8 +1,9 @@
 """Warm persistent worker pool of the simulation service.
 
-The :class:`repro.experiments.parallel.compute_cells` path forks a
-fresh pool per sweep batch and ships every measurement value back
-through a pipe as a pickle.  The service pool inverts both decisions:
+The local executor (:class:`repro.experiments.parallel.PoolBackend`)
+forks a fresh pool per sweep batch and ships every measurement value
+back through a pipe as a pickle.  The service pool inverts both
+decisions:
 
 - **warm and persistent** -- workers live as long as the server.  Each
   keeps one :class:`ExperimentContext` per submitted spec, so trace
@@ -50,11 +51,8 @@ def worker_main(worker_id: int, task_queue, result_queue,
     divergence (version skew, nondeterministic keying) must surface as
     an error, not a silently misplaced entry.
     """
-    from repro.service.protocol import (
-        build_context,
-        decode_cell,
-        spec_fingerprint,
-    )
+    from repro.experiments.base import ExperimentContext
+    from repro.service.protocol import decode_cell, spec_fingerprint
     from repro.simcache import SimCache
     cache = SimCache(cache_dir)
     contexts: dict = {}
@@ -67,7 +65,7 @@ def worker_main(worker_id: int, task_queue, result_queue,
             fingerprint = spec_fingerprint(spec)
             ctx = contexts.get(fingerprint)
             if ctx is None:
-                ctx = build_context(spec, simcache=cache)
+                ctx = ExperimentContext.from_spec(spec, simcache=cache)
                 contexts[fingerprint] = ctx
             key = decode_cell(wire_key)
             cache_key = ctx._simcache_key(key)

@@ -43,6 +43,7 @@ import pathlib
 import pickle
 import sqlite3
 import threading
+import time
 
 #: Version of the stored result format.  Bump whenever the shape of
 #: cached values (ThreadMetrics/PairMetrics/ScheduleResult or anything
@@ -72,6 +73,48 @@ CREATE TABLE IF NOT EXISTS stats (id INTEGER PRIMARY KEY CHECK (id = 0),
     hits INTEGER NOT NULL, misses INTEGER NOT NULL, stores INTEGER NOT NULL);
 INSERT OR IGNORE INTO stats VALUES (0, 0, 0, 0);
 """
+
+
+def versions() -> dict:
+    """The code versions a cached value depends on: the trace-cache
+    schema and the result format (the first two simcache key parts)."""
+    from repro.workloads.tracecache import SCHEMA_VERSION
+    return {"schema": SCHEMA_VERSION, "result": RESULT_VERSION}
+
+
+def check_versions(theirs: dict, ours: dict | None = None) -> str | None:
+    """A message naming the first version a peer disagrees on, else None.
+
+    Every process that hands cell values to another -- a worker-pool
+    initializer, the service's ``/submit`` -- calls this before any
+    cell runs: a peer producing another format would poison the sweep
+    and the persistent cache.  ``ours`` defaults to :func:`versions`.
+    """
+    for name, version in (ours or versions()).items():
+        if theirs.get(name) != version:
+            return (f"{name} version mismatch: peer v{theirs.get(name)}, "
+                    f"local v{version}")
+    return None
+
+
+def _apply_schema(conn: sqlite3.Connection) -> None:
+    """Run :data:`_SCHEMA`, retrying while another process holds a lock.
+
+    Switching a new database to WAL can fail with "database is locked"
+    at once, without waiting on the busy timeout, when several
+    processes open it together.  Every statement is idempotent, so the
+    script is simply rerun until :data:`BUSY_TIMEOUT_S` runs out.
+    """
+    deadline = time.monotonic() + BUSY_TIMEOUT_S
+    while True:
+        try:
+            conn.executescript(_SCHEMA)
+            return
+        except sqlite3.OperationalError as exc:
+            if ("locked" not in str(exc)
+                    or time.monotonic() >= deadline):
+                raise
+            time.sleep(0.01)
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -137,7 +180,7 @@ class SimCache:
             conn = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT_S,
                                    isolation_level=None,
                                    check_same_thread=False)
-            conn.executescript(_SCHEMA)  # a failed open is discarded
+            _apply_schema(conn)  # a failed open is discarded
             self._conns[os.getpid()] = conn
         return conn
 

@@ -33,6 +33,7 @@ from repro.experiments.base import (
     priority_pair,
     single_cell,
 )
+from repro.experiments.parallel import PoolBackend
 from repro.fame import FameRunner
 from repro.governor import (
     Governor,
@@ -131,11 +132,10 @@ SWEEP_CELLS = ([single_cell(b) for b in ("ldint_l1", "cpu_int")]
 
 
 def test_array_sweep_serial_vs_jobs2_identical():
-    """A jobs=2 array-engine sweep is byte-identical to serial."""
-    serial = ExperimentContext(min_repetitions=2, max_cycles=300_000,
-                               jobs=1)
+    """A two-worker array-engine sweep is byte-identical to serial."""
+    serial = ExperimentContext(min_repetitions=2, max_cycles=300_000)
     workers = ExperimentContext(min_repetitions=2, max_cycles=300_000,
-                                jobs=2)
+                                backend=PoolBackend(2))
     assert serial.config.engine == "array"
     assert serial.prefetch(SWEEP_CELLS) == len(SWEEP_CELLS)
     assert workers.prefetch(SWEEP_CELLS) == len(SWEEP_CELLS)
@@ -416,7 +416,7 @@ def test_governor_experiment_serial_jobs_backend_identical(tmp_path):
                                  max_cycles=200_000, **kwargs)
 
     (serial,) = run_many(["governor"], ctx())
-    (jobs2,) = run_many(["governor"], ctx(jobs=2))
+    (jobs2,) = run_many(["governor"], ctx(backend=PoolBackend(2)))
     assert repr(jobs2) == repr(serial)
 
     handle = ServiceHandle(ServerConfig(

@@ -11,7 +11,8 @@ determinism guarantee the single-core simulator already proves:
   grants depend only on request times, which both engines compute
   identically);
 - **process bit-identity**: chip sweep cells computed by worker
-  processes (``jobs > 1``) equal the serial in-process computation.
+  processes (``PoolBackend(2)``) equal the serial in-process
+  computation.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 from repro.chip import Chip, ChipConfig
 from repro.core import SMTCore
 from repro.experiments import ExperimentContext, chip_cell
+from repro.experiments.parallel import PoolBackend
 from repro.fame import FameRunner
 from repro.microbench import make_microbenchmark
 from repro.sched import Job, OsScheduler, make_allocation_policy
@@ -110,14 +112,14 @@ def test_scheduled_run_engine_bit_identity(configs, governor):
 
 
 def test_serial_vs_parallel_chip_cells(config):
-    """Chip sweep cells are byte-identical under jobs=1 and jobs=2."""
+    """Chip sweep cells are byte-identical serially and on two workers."""
     cells = [chip_cell("spec", "round_robin", 2, 2),
              chip_cell("background", "background", 2, 2)]
     kwargs = dict(config=config, min_repetitions=2,
                   max_cycles=300_000, chip_quota=2,
                   chip_governor="ipc_balance", governor_epoch=200)
-    serial = ExperimentContext(jobs=1, **kwargs)
-    parallel = ExperimentContext(jobs=2, **kwargs)
+    serial = ExperimentContext(**kwargs)
+    parallel = ExperimentContext(backend=PoolBackend(2), **kwargs)
     serial.prefetch(cells)
     parallel.prefetch(cells)
     for cell in cells:

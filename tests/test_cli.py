@@ -44,8 +44,11 @@ class TestMain:
          "unknown micro-benchmark 'nope' for --primary"),
         (["pmu", "--secondary", "nope"],
          "unknown micro-benchmark 'nope' for --secondary"),
+        (["table3", "--backend", "http://127.0.0.1:9", "--jobs", "2"],
+         "--jobs runs cells on local worker processes"),
     ], ids=["min_reps", "max_cycles", "both", "jobs", "diff",
-            "pmu_sample", "pmu_sample_flag", "primary", "secondary"])
+            "pmu_sample", "pmu_sample_flag", "primary", "secondary",
+            "jobs_with_backend"])
     def test_bad_run_bounds_rejected(self, capsys, argv, message):
         assert main(argv) == 2
         captured = capsys.readouterr()

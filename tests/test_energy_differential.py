@@ -7,7 +7,7 @@ engine-dependent state.  These tests pin that end to end: the
 :class:`repro.energy.EnergyReport` computed from an array-engine run and
 an object-engine run must be *repr-identical*
 (frozen dataclass of floats; equal reprs mean equal bit patterns), and
-a ``jobs=2`` sweep must price exactly like a serial one.
+a sweep on 2 worker processes must price exactly like a serial one.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.experiments.base import (
     priority_pair,
     single_cell,
 )
+from repro.experiments.parallel import PoolBackend
 
 #: Three cells spanning single/pair and compute/memory behaviour.
 CELLS = [
@@ -37,10 +38,10 @@ CELLS = [
 PRICE = EnergyConfig(node=22, freq_frac=0.8)
 
 
-def _ctx(config=None, jobs: int = 1) -> ExperimentContext:
+def _ctx(config=None, backend=None) -> ExperimentContext:
     return ExperimentContext(config=config or POWER5.small(),
                              min_repetitions=2, max_cycles=250_000,
-                             jobs=jobs, pmu=True)
+                             backend=backend, pmu=True)
 
 
 def _reports(ctx) -> list[str]:
@@ -62,8 +63,8 @@ def test_energy_identical_across_engines():
 
 
 def test_energy_identical_serial_vs_workers():
-    """A jobs=2 instrumented sweep prices like the serial one."""
-    assert _reports(_ctx(jobs=1)) == _reports(_ctx(jobs=2))
+    """A 2-worker instrumented sweep prices like the serial one."""
+    assert _reports(_ctx()) == _reports(_ctx(backend=PoolBackend(2)))
 
 
 def test_repricing_needs_no_resimulation():

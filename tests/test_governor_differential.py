@@ -6,7 +6,7 @@ inherit both determinism guarantees of the simulator:
 - **engine bit-identity**: the array engine produces results and
   decision logs byte-identical to the object reference loop;
 - **process bit-identity**: governed sweep cells computed by worker
-  processes (``jobs > 1``) equal the serial in-process computation.
+  processes (``PoolBackend``) equal the serial in-process computation.
 
 Policies are pure state machines over their observations (no clocks,
 no randomness), which is what makes these comparisons exact.
@@ -20,6 +20,7 @@ import pytest
 
 from repro.config import POWER5
 from repro.experiments import ExperimentContext, governed_cell
+from repro.experiments.parallel import PoolBackend
 from repro.fame import FameRunner
 from repro.governor import Governor, GovernorConfig, make_policy
 from repro.microbench import make_microbenchmark
@@ -95,13 +96,13 @@ def test_engine_bit_identity_pipeline(configs):
 
 
 def test_serial_vs_parallel_governed_cells(config):
-    """Governed sweep cells are identical under jobs=1 and jobs=2."""
+    """Governed sweep cells are identical serially and on 2 workers."""
     cells = [governed_cell(p, s, (4, 4), policy, params)
              for p, s, policy, params in SCENARIOS]
     kwargs = dict(config=config, min_repetitions=2,
                   max_cycles=250_000, governor_epoch=EPOCH)
-    serial = ExperimentContext(jobs=1, **kwargs)
-    parallel = ExperimentContext(jobs=2, **kwargs)
+    serial = ExperimentContext(**kwargs)
+    parallel = ExperimentContext(backend=PoolBackend(2), **kwargs)
     serial.prefetch(cells)
     parallel.prefetch(cells)
     for cell in cells:
@@ -112,15 +113,15 @@ def test_serial_vs_parallel_governed_cells(config):
 
 
 def test_ctx_governor_serial_vs_parallel(config):
-    """--governor pair cells agree between jobs=1 and jobs=2 too."""
+    """--governor pair cells agree serially and on 2 workers too."""
     from repro.experiments.base import pair_cell
     cells = [pair_cell("cpu_int", "ldint_mem", (4, 4)),
              pair_cell("cpu_int", "cpu_fp", (4, 4))]
     kwargs = dict(config=config, min_repetitions=2,
                   max_cycles=200_000, governor="ipc_balance",
                   governor_epoch=EPOCH)
-    serial = ExperimentContext(jobs=1, **kwargs)
-    parallel = ExperimentContext(jobs=2, **kwargs)
+    serial = ExperimentContext(**kwargs)
+    parallel = ExperimentContext(backend=PoolBackend(2), **kwargs)
     serial.prefetch(cells)
     parallel.prefetch(cells)
     for cell in cells:

@@ -1,11 +1,13 @@
-"""Parallel sweep execution and the cross-run trace cache.
+"""Sweep prefetching and the cross-run trace cache.
 
 The Layer-2 speedups -- worker-process sweeps and memoised trace
-construction -- must be invisible in the results: a ``jobs=N`` sweep
-has to be byte-identical to the serial one, and a cached trace must
-behave exactly like a freshly built one (and never be mutated by a
-run).  The :meth:`MemoryHierarchy.load_complete` fast path is checked
-against :meth:`load` here too, since the decode loop relies on their
+construction -- must be invisible in the results: a two-worker
+``PoolBackend`` sweep has to be byte-identical to the serial one, and a
+cached trace must behave exactly like a freshly built one (and never be
+mutated by a run).  Every executor kind on a smaller mixed cell set is
+compared in ``tests/test_executors.py``.  The
+:meth:`MemoryHierarchy.load_complete` fast path is checked against
+:meth:`load` here too, since the decode loop relies on their
 equivalence.
 """
 
@@ -22,6 +24,7 @@ from repro.experiments.base import (
     priority_pair,
     single_cell,
 )
+from repro.experiments.parallel import PoolBackend
 from repro.fame import FameRunner
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads import cached_workload
@@ -35,15 +38,11 @@ CELLS = ([single_cell(b) for b in BENCHES]
             for p in BENCHES for s in BENCHES for d in (0, 2, -2)])
 
 
-def _context(jobs: int) -> ExperimentContext:
-    return ExperimentContext(min_repetitions=2, max_cycles=300_000,
-                             jobs=jobs)
-
-
 def test_parallel_sweep_identical_to_serial():
-    """jobs=2 prefetch fills the cache byte-identically to serial."""
-    serial = _context(jobs=1)
-    parallel = _context(jobs=2)
+    """A two-worker prefetch fills the cache byte-identically to serial."""
+    serial = ExperimentContext(min_repetitions=2, max_cycles=300_000)
+    parallel = ExperimentContext(min_repetitions=2, max_cycles=300_000,
+                                 backend=PoolBackend(2))
     assert serial.prefetch(CELLS) == len(CELLS)
     assert parallel.prefetch(CELLS) == len(CELLS)
     assert list(serial._cache) == list(parallel._cache)  # same order
@@ -57,7 +56,7 @@ def test_parallel_sweep_identical_to_serial():
 
 def test_prefetch_is_idempotent_and_feeds_accessors():
     """A second prefetch computes nothing; accessors hit the cache."""
-    ctx = _context(jobs=1)
+    ctx = ExperimentContext(min_repetitions=2, max_cycles=300_000)
     assert ctx.prefetch(CELLS) == len(CELLS)
     assert ctx.prefetch(CELLS) == 0
     before = ctx.cached_runs()
@@ -66,18 +65,6 @@ def test_prefetch_is_idempotent_and_feeds_accessors():
     assert ctx.cached_runs() == before  # no new simulations
     assert pm.priorities == priority_pair(2)
     assert st.workload == "cpu_int"
-
-
-def test_jobs_zero_means_all_cores():
-    """jobs=0 resolves to the machine's core count, still identical."""
-    from repro.experiments.parallel import default_jobs
-    assert default_jobs() >= 1
-    serial = _context(jobs=1)
-    allcores = _context(jobs=0)
-    keys = CELLS[:4]
-    serial.prefetch(keys)
-    allcores.prefetch(keys)
-    assert serial._cache == allcores._cache
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@
 The PMU's headline guarantee: every counter, interval sample and FAME
 telemetry point is **bit-identical** between the array engine and
 the per-cycle object reference loop, over the full
-microbenchmark x priority-difference matrix -- and a parallel
-(``jobs=N``) instrumented sweep is byte-identical to the serial one.
+microbenchmark x priority-difference matrix (executor equivalence of
+instrumented cells is asserted by ``tests/test_executors.py``).
 
 :class:`repro.pmu.PmuReport` is a frozen value type, so a single
 equality assertion covers the counter bank, the sample series, the
@@ -18,12 +18,7 @@ import dataclasses
 import pytest
 
 from repro.config import POWER5
-from repro.experiments.base import (
-    ExperimentContext,
-    pair_cell,
-    priority_pair,
-    single_cell,
-)
+from repro.experiments.base import priority_pair
 from repro.fame import FameRunner
 from repro.microbench import EVALUATED_BENCHMARKS, make_microbenchmark
 from repro.pmu import Pmu
@@ -83,39 +78,3 @@ def test_counters_identical_across_engines(configs, primary, secondary,
     # And the stack partition survives both engines.
     for tid in (0, 1):
         assert array_report.cpi_stack(tid).total == array_report.cycles
-
-
-# ----------------------------------------------------------------------
-# Serial vs parallel instrumented sweeps
-# ----------------------------------------------------------------------
-
-SWEEP_BENCHES = ("ldint_l1", "cpu_int")
-SWEEP_CELLS = ([single_cell(b) for b in SWEEP_BENCHES]
-               + [pair_cell(p, s, priority_pair(d))
-                  for p in SWEEP_BENCHES for s in SWEEP_BENCHES
-                  for d in (0, 2, -2)])
-
-
-def _context(jobs: int) -> ExperimentContext:
-    return ExperimentContext(min_repetitions=2, max_cycles=300_000,
-                             jobs=jobs, pmu=True,
-                             pmu_sample=SAMPLE_PERIOD)
-
-
-def test_instrumented_parallel_sweep_identical_to_serial():
-    """PMU reports survive the worker round-trip byte-identically."""
-    serial = _context(jobs=1)
-    parallel = _context(jobs=2)
-    assert serial.prefetch(SWEEP_CELLS) == len(SWEEP_CELLS)
-    assert parallel.prefetch(SWEEP_CELLS) == len(SWEEP_CELLS)
-    assert list(serial._cache) == list(parallel._cache)
-    assert serial._cache == parallel._cache
-    # Byte-identical: PmuReport and its samples are frozen value
-    # types, so equal reprs mean every counter and every float of the
-    # sampled series is exactly the same bit pattern.
-    assert (repr(serial._cache).encode()
-            == repr(parallel._cache).encode())
-    # Every cell actually carries an instrumented report.
-    for value in serial._cache.values():
-        assert value.pmu is not None
-        assert value.pmu.counter("PM_CYC", 0) == value.pmu.cycles

@@ -29,6 +29,7 @@ from repro.experiments.base import (
     pair_cell,
     single_cell,
 )
+from repro.experiments.parallel import PoolBackend
 from repro.fame import FameRunner
 from repro.microbench import make_microbenchmark
 from repro.pmu import Pmu
@@ -144,9 +145,9 @@ def _ctx(**kwargs) -> ExperimentContext:
 
 
 def test_prefetch_sweep_serial_vs_jobs2_identical():
-    """A jobs=2 sweep of prefetch-enabled cells is byte-identical."""
-    serial = _ctx(jobs=1)
-    workers = _ctx(jobs=2)
+    """A 2-worker sweep of prefetch-enabled cells is byte-identical."""
+    serial = _ctx()
+    workers = _ctx(backend=PoolBackend(2))
     assert serial.prefetch(SWEEP_CELLS) == len(SWEEP_CELLS)
     assert workers.prefetch(SWEEP_CELLS) == len(SWEEP_CELLS)
     assert list(serial._cache) == list(workers._cache)
@@ -156,8 +157,8 @@ def test_prefetch_sweep_serial_vs_jobs2_identical():
 
 def test_prefetch_backend_identical_to_serial(tmp_path):
     """Prefetch knobs survive the wire: a service-backed run returns
-    byte-identical values, so ``context_spec`` carries the nested
-    PrefetchConfig faithfully."""
+    byte-identical values, so ``ExperimentContext.spec`` carries the
+    nested PrefetchConfig faithfully."""
     handle = ServiceHandle(ServerConfig(
         port=0, workers=2, cache_dir=str(tmp_path / "svc-cache"),
         retry_backoff=0.05)).start()

@@ -19,6 +19,8 @@ processes -- the same stack ``power5-repro serve`` runs.
 
 from __future__ import annotations
 
+import dataclasses
+import re
 import socket
 import threading
 
@@ -39,14 +41,12 @@ from repro.service import (
     ServiceBackend,
     ServiceClient,
     ServiceError,
-    build_context,
-    context_spec,
     decode_cell,
     encode_cell,
 )
 from repro.service import protocol, server
 from repro.service.server import ServerConfig, ServiceHandle
-from repro.simcache import SimCache
+from repro.simcache import SimCache, check_versions
 
 #: Small benchmark subset keeping server-backed sweeps fast.
 BENCHES = ("cpu_int", "ldint_l2")
@@ -89,28 +89,37 @@ def test_unencodable_key_component_rejected():
 
 def test_spec_rebuilds_equivalent_context():
     """A context rebuilt from its wire spec computes identical cache
-    keys -- the property the whole digest protocol stands on."""
+    keys -- the property the whole digest protocol stands on -- and so
+    does a ``dataclasses.replace`` twin, against one built by hand."""
     ctx = _ctx(pmu=True, pmu_sample=512, governor="ipc_balance",
-               governor_epoch=400)
-    rebuilt = build_context(context_spec(ctx))
+               governor_epoch=400, backend=ServiceBackend("http://x"))
+    rebuilt = ExperimentContext.from_spec(ctx.spec())
+    config = POWER5.small().replace(fx_latency=3)
+    twin = dataclasses.replace(ctx, config=config, pmu=False,
+                               pmu_sample=0, governor=None)
+    by_hand = ExperimentContext(config=config, min_repetitions=2,
+                                max_cycles=200_000, governor_epoch=400)
     assert rebuilt.config.fingerprint() == ctx.config.fingerprint()
     for key in KEYS:
         assert rebuilt._simcache_key(key) == ctx._simcache_key(key)
+        assert twin._simcache_key(key) == by_hand._simcache_key(key)
+    assert twin.backend is ctx.backend and twin._cache is not ctx._cache
 
 
 def test_spec_survives_json(tmp_path):
     import json
-    spec = context_spec(_ctx(maiv=0.015))
-    rebuilt = build_context(json.loads(json.dumps(spec)))
+    spec = _ctx(maiv=0.015).spec()
+    rebuilt = ExperimentContext.from_spec(json.loads(json.dumps(spec)))
     assert rebuilt._simcache_key(KEYS[0]) == _ctx(
         maiv=0.015)._simcache_key(KEYS[0])
 
 
 def test_handshake_mismatch_detected():
     payload = protocol.handshake()
-    assert protocol.check_handshake(payload) is None
+    assert check_versions(payload, protocol.handshake()) is None
     payload["result"] = 999
-    assert "result version mismatch" in protocol.check_handshake(payload)
+    assert "result version mismatch" in check_versions(
+        payload, protocol.handshake())
 
 
 # -- transparency -------------------------------------------------------
@@ -242,7 +251,7 @@ def test_handshake_mismatch_refused_with_409(tmp_path, monkeypatch):
     handle = _server(tmp_path)
     try:
         bad = dict(protocol.handshake(), protocol=999)
-        bad["spec"] = context_spec(_ctx())
+        bad["spec"] = _ctx().spec()
         bad["cells"] = [encode_cell(single_cell("cpu_int"))]
         client = ServiceClient(handle.url)
         with pytest.raises(ServiceError, match="409.*protocol version"):
@@ -250,7 +259,7 @@ def test_handshake_mismatch_refused_with_409(tmp_path, monkeypatch):
         # A v3 client still sends the retired ``fast_forward`` config
         # field; the handshake must refuse it before the spec decodes.
         old = dict(protocol.handshake(), protocol=3)
-        old["spec"] = context_spec(_ctx())
+        old["spec"] = _ctx().spec()
         old["spec"]["config"]["fast_forward"] = True
         old["cells"] = [encode_cell(single_cell("cpu_int"))]
         with pytest.raises(ServiceError, match="409.*protocol version"):
@@ -267,12 +276,36 @@ def test_bad_run_bounds_refused_with_400(tmp_path):
         for field, match in (("max_cycles", "max_cycles must be >= 1"),
                              ("min_repetitions",
                               "min_repetitions must be >= 1")):
-            spec = context_spec(_ctx())
+            spec = _ctx().spec()
             spec[field] = 0
             with pytest.raises(ServiceError, match=f"400.*{match}"):
                 client.submit(spec, [encode_cell(single_cell("cpu_int"))])
     finally:
         handle.stop()
+
+
+@pytest.mark.parametrize("changes, error", [
+    ({"pmu": True, "pmu_sample": -5}, "pmu_sample must be >= 0"),
+    ({"maiv": "x"}, "'maiv' must be float or int"),
+    ({"maiv": -1.0}, "maiv must be a positive number"),
+    ({"pmu": "yes"}, "'pmu' must be bool"),
+    ({"min_repetitions": True}, "'min_repetitions' must be int"),
+    ({"colour": "red"}, "unknown ['colour']"),
+    ({"chip_quota": ...}, "missing ['chip_quota']"),
+], ids=["negative-sample", "str-maiv", "negative-maiv", "str-pmu",
+        "bool-int", "unknown-key", "missing-key"])
+def test_bad_spec_refused_with_400_and_queues_nothing(raw_server, changes,
+                                                      error):
+    """Malformed specs fail at /submit, never later inside a worker."""
+    spec = dict(_ctx().spec(), **changes)
+    spec = {name: value for name, value in spec.items() if value is not ...}
+    client = ServiceClient(raw_server.url)
+    before = client.metrics()["dedup"]["submitted"]
+    with pytest.raises(ServiceError, match="HTTP 400: .*" + re.escape(error)):
+        client.submit(spec, [encode_cell(single_cell("cpu_int"))])
+    metrics = client.metrics()
+    assert metrics["dedup"]["submitted"] == before
+    assert metrics["queue_depth"] == metrics["in_flight"] == 0
 
 
 def test_draining_server_refuses_submissions(tmp_path):
@@ -281,7 +314,7 @@ def test_draining_server_refuses_submissions(tmp_path):
         handle.server._draining = True  # white-box: drain mid-flight
         client = ServiceClient(handle.url)
         with pytest.raises(ServiceError, match="503.*draining"):
-            client.submit(context_spec(_ctx()),
+            client.submit(_ctx().spec(),
                           [encode_cell(single_cell("cpu_int"))])
         # Observability stays available while draining.
         assert client.healthz()["draining"] is True

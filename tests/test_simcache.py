@@ -30,6 +30,7 @@ from repro.experiments.base import (
     single_cell,
 )
 from repro.experiments.chip import chip_cell
+from repro.experiments.parallel import PoolBackend
 from repro.simcache import SimCache, workload_fingerprint
 from repro.simcache import store as simstore
 from repro.workloads import tracecache
@@ -45,11 +46,10 @@ CELLS = [
 ]
 
 
-def _ctx(cache_dir=None, jobs: int = 1, config=None,
-         **kwargs) -> ExperimentContext:
+def _ctx(cache_dir=None, config=None, **kwargs) -> ExperimentContext:
     return ExperimentContext(
         config=config or POWER5.small(),
-        min_repetitions=2, max_cycles=300_000, jobs=jobs,
+        min_repetitions=2, max_cycles=300_000,
         simcache=SimCache(cache_dir) if cache_dir else None,
         **kwargs)
 
@@ -82,10 +82,10 @@ def test_cold_warm_disabled_bit_identical(tmp_path):
 
 
 def test_warm_parallel_identical_to_serial(tmp_path):
-    """jobs=2 cold fill and a serial warm read return the same bytes."""
-    parallel = _ctx(tmp_path, jobs=2)
+    """A 2-worker cold fill and a serial warm read return the same bytes."""
+    parallel = _ctx(tmp_path, backend=PoolBackend(2))
     assert parallel.prefetch(CELLS) == len(CELLS)
-    serial = _ctx(tmp_path, jobs=1)
+    serial = _ctx(tmp_path)
     assert serial.prefetch(CELLS) == 0
     assert repr(parallel._cache) == repr(serial._cache)
 

@@ -99,8 +99,9 @@ def test_compiled_cache_invalidated_by_clear(config):
 def test_worker_handshake_rejects_version_mismatch(config):
     """A worker initialised by a coordinator speaking another schema
     version refuses to start instead of silently mixing results."""
+    from repro.experiments.base import ExperimentContext
     from repro.experiments.parallel import _init_worker
-    with pytest.raises(RuntimeError, match="schema mismatch"):
-        _init_worker(config, min_repetitions=2, maiv=0.02,
-                     max_cycles=250_000,
-                     schema_version=SCHEMA_VERSION + 1)
+    from repro.simcache import versions
+    spec = ExperimentContext(config=config, min_repetitions=2).spec()
+    with pytest.raises(RuntimeError, match="schema version mismatch"):
+        _init_worker(spec, dict(versions(), schema=SCHEMA_VERSION + 1))
