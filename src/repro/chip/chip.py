@@ -21,11 +21,12 @@ one monotonic chip clock (:attr:`now`) and translates via the port's
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.chip.bus import CorePort, SharedChipBus
 from repro.chip.config import ChipConfig
 from repro.core import SMTCore, make_core
+from repro.core.smt_core import RepGate
 
 
 class Chip:
@@ -57,7 +58,7 @@ class Chip:
     def load_core(self, core_id: int, sources: Sequence,
                   priorities: tuple[int, int] = (4, 4),
                   privileges: tuple[str, str] = ("user", "user"),
-                  rep_gate: Iterable[int] | None = None) -> SMTCore:
+                  rep_gate: RepGate | None = None) -> SMTCore:
         """(Re)load one core with new workloads and mark it active.
 
         The core's local clock restarts at 0; the chip records the

@@ -25,14 +25,15 @@ the scoreboard reads, unit-pool claims and counter increments the
 reference decode loop would (unit-pool ``issues``/``thread_issues``/
 ``total_wait`` are folded per group, which is exact at cycle
 granularity), and every group the kernels *cannot* express -- groups
-containing a priority nop, traces with dynamic group extents, traces
-too large to compile -- falls back to the inherited
-``SMTCore._decode_slot``, which is the reference implementation
-itself.  Instrumented runs (pipeline tracer) and repetition-gated
-runs route to the inherited step loop wholesale.  The object engine
-remains the differential reference;
+containing a priority nop, traces with dynamic group extents -- falls
+back to the inherited ``SMTCore._decode_slot``, which is the
+reference implementation itself.  Repetition-gated runs (the software
+pipeline) stay on the kernels: the loop polls the gate at decode
+exactly where the object engine does.  Only instrumented runs
+(pipeline tracer) route to the inherited step loop wholesale.  The
+object engine remains the differential reference;
 ``tests/test_array_engine_differential`` asserts bit-identity across
-the full microbenchmark x priority matrix.
+the full microbenchmark x priority matrix and the pipelines.
 
 Kernel binding: a kernel list is instantiated per (thread, trace,
 group width) by the process-wide factory cache in
@@ -247,9 +248,9 @@ class ArraySMTCore(SMTCore):
         """Simulate ``cycles`` cycles; returns cycles actually run."""
         if cycles <= 0:
             return 0
-        if self._tracer is not None or self._rep_gate is not None:
-            # Per-instruction tracing and per-cycle repetition gating
-            # are the instrumented object loop's job.
+        if self._tracer is not None:
+            # Per-instruction tracing is the instrumented object loop's
+            # job.
             return super().step(cycles)
         cfg = self.config
         arbiter = self._arbiter
@@ -277,6 +278,8 @@ class ArraySMTCore(SMTCore):
         thr_interval = bal_cfg.throttle_interval
         decode_slot = self._decode_slot  # reference path (prio groups,
         #                                  unkernelizable traces)
+        gate_on = self._rep_gate is not None
+        gate_open = self._gate_open
         BIG = 1 << 62
 
         dec_width, tab, tab_len = self._array_locals()
@@ -364,11 +367,29 @@ class ArraySMTCore(SMTCore):
                 next_gc = now + 1024
             # -- decode ------------------------------------------------
             # Same slot-passing strictness as the object engine: an
-            # *empty* owner (no context, workload finished) passes the
-            # slot to the sibling; a merely *blocked* owner wastes it.
+            # *empty* owner (no context, workload finished, or a closed
+            # repetition gate) passes the slot to the sibling; a merely
+            # *blocked* owner wastes it.  Gates are polled in the object
+            # engine's order: the owner's, then the sibling's.
             tid = tid0 if one else tab[now % tab_len]
             if tid is not None:
-                if tid == 0:
+                if gate_on:
+                    if tid == 0:
+                        if avail0 and (not t0.gated
+                                       or gate_open(t0, 0, now)):
+                            dec = 0
+                        elif avail1 and (not t1.gated
+                                         or gate_open(t1, 1, now)):
+                            dec = 1
+                        else:
+                            dec = -1
+                    elif avail1 and (not t1.gated or gate_open(t1, 1, now)):
+                        dec = 1
+                    elif avail0 and (not t0.gated or gate_open(t0, 0, now)):
+                        dec = 0
+                    else:
+                        dec = -1
+                elif tid == 0:
                     dec = 0 if avail0 else (1 if avail1 else -1)
                 else:
                     dec = 1 if avail1 else (0 if avail0 else -1)
@@ -408,6 +429,8 @@ class ArraySMTCore(SMTCore):
                             pos0 = p2
                             if rd:
                                 t0.advance_repetition()
+                                if gate_on:
+                                    t0.gated = True
                                 pos0 = 0
                                 rep0 = t0.rep_index
                                 n0 = len(t0.trace)
@@ -496,6 +519,8 @@ class ArraySMTCore(SMTCore):
                             pos1 = p2
                             if rd:
                                 t1.advance_repetition()
+                                if gate_on:
+                                    t1.gated = True
                                 pos1 = 0
                                 rep1 = t1.rep_index
                                 n1 = len(t1.trace)

@@ -56,6 +56,11 @@ _OP_NOP = int(OpClass.NOP)
 _OP_PRIO = int(OpClass.PRIO_NOP)
 
 #: A repetition gate: ``gate(thread_id, rep_index, now)`` -> may start.
+#: Polled at decode while a thread waits at a repetition boundary.  The
+#: array engine keeps per-thread counters in locals mid-step, so a gate
+#: may read only what stays current there: the threads'
+#: ``rep_end_times`` / ``completed_repetitions`` and ``rep_index``, and
+#: ``now``.  Other counters (``retired``, ``pos``, ...) may be stale.
 RepGate = Callable[[int, int, int], bool]
 
 

@@ -18,7 +18,7 @@ group-start positions (entry 0, each group's end, flush rewinds to a
 previous group start), and for each start the exact sequence of
 scoreboard reads, functional-unit claims, latencies and counter
 increments is known at compile time.  ``generate_factory_source``
-emits one tiny function per group start with every register index,
+yields one tiny function per group start with every register index,
 latency, occupancy cap, branch-predictor key and instruction count
 baked in as literals, and dependencies *within* a group forwarded
 through locals.  A group kernel does the work the engine's inner
@@ -36,7 +36,10 @@ run time, no cell indirection, nothing passed per call beyond
 Groups containing a ``PRIO_NOP`` are left to the engine's reference
 decode path (they mutate the arbiter, which a kernel must not), as
 are traces that are not kernelizable at all (``branch_ends_group``
-off, or the generated module would be too large to compile quickly).
+off, or an empty trace).  Trace length is not capped: the generated
+module holds only the *distinct* group bodies (the 2,814 groups of
+the FFT producer share 16), and the per-group instantiations come
+from a data table, not from source lines.
 """
 
 from __future__ import annotations
@@ -53,11 +56,6 @@ assert (int(OpClass.FX), int(OpClass.FX_MUL), int(OpClass.FP),
 
 _OP_FX, _OP_MUL, _OP_FP = 0, 1, 2
 _OP_LOAD, _OP_STORE, _OP_BR, _OP_NOP, _OP_PRIO = 3, 4, 5, 6, 7
-
-#: Traces longer than this are not compiled to Python (the generated
-#: module's one-time ``compile()`` cost would stop paying for itself);
-#: the engine falls back to the reference decode path for them.
-MAX_KERNEL_INSTRUCTIONS = 8192
 
 
 class KernelConsts(NamedTuple):
@@ -153,7 +151,7 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
     then produce the same body text for every iteration of a loop, so
     one compiled code object (the expensive part) serves all of them;
     per-group functions are instantiated over it by rebinding the
-    parameter defaults (see ``_F`` in the factory preamble).
+    parameter defaults (see the ``_GROUPS`` loop in the factory).
     """
     ops, dsts = compiled.op, compiled.dst
     s1s, s2s = compiled.s1, compiled.s2
@@ -319,54 +317,63 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
     return f"(now, tid, {sig}):\n" + "\n".join(out), tuple(values)
 
 
-def generate_factory_source(compiled: CompiledTrace,
-                            consts: KernelConsts) -> str | None:
-    """Source of ``make_kernels`` for ``compiled``, or None.
+def generate_factory_source(compiled: CompiledTrace, consts: KernelConsts
+                            ) -> tuple[str, tuple] | None:
+    """Source of ``make_kernels`` for ``compiled`` and its group table.
 
-    None means the trace is not kernelizable under ``consts`` (group
-    extents dynamic, empty trace, or too large); callers fall back to
-    the reference decode path.
+    Returns ``(source, groups)``, or None when the trace is not
+    kernelizable under ``consts`` (group extents dynamic, or an empty
+    trace); callers then fall back to the reference decode path.
+    ``groups`` holds one ``(start, body_index, values)`` row per
+    kernelized group start; :func:`compile_factory` hands it to the
+    module as ``_GROUPS``.
     """
     n = len(compiled.op)
-    if (not consts.branch_ends or consts.width < 1 or n == 0
-            or n > MAX_KERNEL_INSTRUCTIONS):
+    if not consts.branch_ends or consts.width < 1 or n == 0:
         return None
-    groups = partition_groups(compiled, consts)
     out: list[str] = [
         "from types import FunctionType as _FT",
-        "def _F(f, pre):",
-        "    d = f.__defaults__",
-        "    return _FT(f.__code__, f.__globals__, f.__name__,",
-        "               pre + d[len(pre):], None)",
         "def make_kernels(th, fxu, lsu, fpu, bxu, hl, hs, predict):",
         "    rr = th.reg_ready",
     ]
-    for _obj, occ, get, ti, _w in _POOL_NAMES.values():
-        pool = _obj
+    for pool, occ, get, ti, _w in _POOL_NAMES.values():
         out.append(f"    {occ} = {pool}._occupied")
         out.append(f"    {get} = {occ}.get")
         out.append(f"    {ti} = {pool}.thread_issues")
-    out.append(f"    K = [None] * {n}")
-    # Loop-structured traces repeat group bodies across iterations;
-    # compile each distinct body once and instantiate the per-group
-    # functions by rebinding the group-varying parameter defaults.
-    bodies: dict[str, str] = {}
-    for g0, (end, has_prio) in groups.items():
+    # Loop-structured traces repeat group bodies across iterations:
+    # the module compiles each distinct body once, and the per-group
+    # functions are instantiated over it from the data table by
+    # rebinding the group-varying parameter defaults.
+    bodies: dict[str, int] = {}
+    groups = []
+    for g0, (end, has_prio) in partition_groups(compiled, consts).items():
         if has_prio:
             continue  # reference path: may rebuild the arbiter
         body, values = _emit_group(compiled, g0, end, consts)
-        name = bodies.get(body)
-        if name is None:
-            name = f"_b{len(bodies)}"
-            bodies[body] = name
-            out.append(f"    def {name}{body}")
-        out.append(f"    K[{g0}] = _F({name}, {values!r})")
-    out.append("    return K")
-    return "\n".join(out) + "\n"
+        b = bodies.get(body)
+        if b is None:
+            b = bodies[body] = len(bodies)
+            out.append(f"    def _b{b}{body}")
+        groups.append((g0, b, values))
+    out += [
+        "    B = [" + ", ".join(f"_b{b}" for b in range(len(bodies))) + "]",
+        f"    K = [None] * {n}",
+        "    for g0, b, pre in _GROUPS:",
+        "        f = B[b]",
+        "        d = f.__defaults__",
+        "        K[g0] = _FT(f.__code__, f.__globals__, f.__name__,",
+        "                    pre + d[len(pre):], None)",
+        "    return K",
+    ]
+    return "\n".join(out) + "\n", tuple(groups)
 
 
-def compile_factory(source: str, name: str = "<trace-kernels>"):
-    """Compile generated factory source; returns ``make_kernels``."""
-    ns: dict = {}
+def compile_factory(source: str, groups: tuple,
+                    name: str = "<trace-kernels>"):
+    """Compile generated factory source over its group table.
+
+    Returns ``make_kernels``.
+    """
+    ns: dict = {"_GROUPS": groups}
     exec(compile(source, name, "exec"), ns)  # noqa: S102 (own codegen)
     return ns["make_kernels"]

@@ -72,17 +72,23 @@ class SoftwarePipeline:
         if iterations <= warmup:
             raise ValueError("need more iterations than warmup")
         core = make_core(self.config)
+        depth = self.buffer_depth
+        # The gate reaches the threads through this list, not through
+        # ``core``: the core holds the gate, so capturing the core would
+        # make every run's core cyclic garbage.
+        threads = []
 
         def gate(thread_id: int, rep_index: int, now: int) -> bool:
-            produced = core.thread(0).completed_repetitions
+            produced = threads[0].completed_repetitions
             if thread_id == 1:
                 # Consumer iteration k needs producer iteration k done.
                 return produced > rep_index
-            consumed = core.thread(1).completed_repetitions
-            return rep_index - consumed < self.buffer_depth
+            consumed = threads[1].completed_repetitions
+            return rep_index - consumed < depth
 
         core.load([self.producer, self.consumer], priorities,
                   rep_gate=gate)
+        threads += (core.thread(0), core.thread(1))
         if governor is not None:
             governor.attach(core)
         while (core.thread(1).completed_repetitions < iterations

@@ -65,41 +65,14 @@ def cached_workload(name: str, config: CoreConfig,
     return source
 
 
-# ----------------------------------------------------------------------
-# Compiled-trace cache (array engine)
-# ----------------------------------------------------------------------
-#
-# The array engine consumes repetition traces in flat struct-of-arrays
-# form (see repro.isa.compiled).  Compilation is deterministic in the
-# instruction content alone -- it bakes in no configuration -- so the
-# cache key *is* the trace fingerprint: the tuple of instructions.
-# Workloads replay the same few repetition traces thousands of times
-# (every repetition of every sweep cell of every priority pair), so
-# each distinct trace is compiled exactly once per process.
-
-_COMPILED: dict[tuple, CompiledTrace] = {}
-
-_COMPILED_HITS = 0
-_COMPILED_MISSES = 0
-
-
 def compiled_trace(instructions: tuple) -> CompiledTrace:
-    """Fetch (or build) the compiled form of an instruction tuple.
+    """The flat struct-of-arrays form of an instruction tuple.
 
-    ``instructions`` must be a tuple of
-    :class:`~repro.isa.instruction.Instruction` -- hashable and
-    immutable, so sharing the compiled arrays across threads, cores
-    and repetitions is safe: the engine never writes into them.
+    Not memoised: its only consumer, :func:`kernel_factory`, already
+    caches per ``(instructions, consts)``, so each trace is compiled
+    once per set of baked constants and the arrays are then dropped.
     """
-    global _COMPILED_HITS, _COMPILED_MISSES
-    compiled = _COMPILED.get(instructions)
-    if compiled is not None:
-        _COMPILED_HITS += 1
-        return compiled
-    _COMPILED_MISSES += 1
-    compiled = compile_trace(instructions)
-    _COMPILED[instructions] = compiled
-    return compiled
+    return compile_trace(instructions)
 
 
 # ----------------------------------------------------------------------
@@ -109,8 +82,8 @@ def compiled_trace(instructions: tuple) -> CompiledTrace:
 # One step past the flat arrays: repro.isa.kernelgen compiles a trace
 # to straightline Python, one function per decode-group start, with
 # the relevant configuration constants baked in as literals.  The
-# compile() of the generated module is the expensive part (tens of
-# milliseconds for a large trace), so factories are cached process-
+# compile() of the generated module is the expensive part (about ten
+# milliseconds for the largest trace), so factories are cached process-
 # wide keyed by (instruction tuple, baked constants); a None entry
 # records that the trace is not kernelizable under those constants.
 
@@ -136,18 +109,15 @@ def kernel_factory(instructions: tuple, consts: KernelConsts):
         _FACTORY_HITS += 1
         return factory
     _FACTORY_MISSES += 1
-    source = generate_factory_source(compiled_trace(instructions), consts)
-    factory = None if source is None else compile_factory(source)
+    generated = generate_factory_source(compiled_trace(instructions), consts)
+    factory = None if generated is None else compile_factory(*generated)
     _FACTORIES[key] = factory
     return factory
 
 
 def cache_info() -> dict[str, int]:
-    """Hit/miss/size counters of all three trace-level caches."""
+    """Hit/miss/size counters of the source and kernel-factory caches."""
     return {"hits": _HITS, "misses": _MISSES, "entries": len(_CACHE),
-            "compiled_hits": _COMPILED_HITS,
-            "compiled_misses": _COMPILED_MISSES,
-            "compiled_entries": len(_COMPILED),
             "factory_hits": _FACTORY_HITS,
             "factory_misses": _FACTORY_MISSES,
             "factory_entries": len(_FACTORIES)}
@@ -155,14 +125,10 @@ def cache_info() -> dict[str, int]:
 
 def clear_cache() -> None:
     """Drop all cached sources/compilations and zero the counters."""
-    global _HITS, _MISSES, _COMPILED_HITS, _COMPILED_MISSES
-    global _FACTORY_HITS, _FACTORY_MISSES
+    global _HITS, _MISSES, _FACTORY_HITS, _FACTORY_MISSES
     _CACHE.clear()
     _HITS = 0
     _MISSES = 0
-    _COMPILED.clear()
-    _COMPILED_HITS = 0
-    _COMPILED_MISSES = 0
     _FACTORIES.clear()
     _FACTORY_HITS = 0
     _FACTORY_MISSES = 0

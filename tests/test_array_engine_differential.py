@@ -13,9 +13,11 @@ state: an uninstrumented run, runs carrying periodic hooks (governor
 epochs, interval samplers, mutating timers) and scheduled chip runs
 must land on the object engine's state exactly, and a single large
 ``step`` call must match the same run chopped into runner-sized
-chunks.  At the orchestration layer the ``governor`` experiment must
-render the same report serially, with worker processes and through the
-HTTP service backend.
+chunks.  Static runs of the rep-gated FFT/LU software pipeline must
+match too, with the FFT producer on compiled kernels.  At the
+orchestration layer the ``governor`` experiment must render the same
+report serially, with worker processes and through the HTTP service
+backend.
 """
 
 from __future__ import annotations
@@ -398,6 +400,41 @@ def test_scheduled_chip_run_bit_identical_across_engines(configs):
                             for _ in range(4)])
         reprs.append(repr(result))
     assert reprs[0] == reprs[1]
+
+
+#: Static pipeline runs: priority pairs at the default buffer depth,
+#: plus the shallowest and a deeper buffer at equal priorities.
+PIPELINE_RUNS = [((4, 4), 2), ((1, 6), 2), ((6, 1), 2), ((2, 5), 2),
+                 ((5, 2), 2), ((4, 4), 1), ((4, 4), 3)]
+
+
+@pytest.mark.parametrize("priorities,depth", PIPELINE_RUNS,
+                         ids=[f"{p[0]}_{p[1]}-depth{d}"
+                              for p, d in PIPELINE_RUNS])
+def test_pipeline_bit_identical_across_engines(configs, monkeypatch,
+                                               priorities, depth):
+    """The rep-gated FFT/LU pipeline runs on the compiled kernels and
+    lands on the object engine's result and machine state exactly."""
+    from repro.workloads import pipeline
+
+    cores = []
+
+    def capture(config):
+        cores.append(make_core(config))
+        return cores[-1]
+
+    monkeypatch.setattr(pipeline, "make_core", capture)
+    sigs = []
+    for config in configs:
+        pipe = pipeline.SoftwarePipeline(config=config, buffer_depth=depth)
+        result = pipe.run(priorities=priorities)
+        sigs.append((result, _machine_state(cores[-1])))
+    assert sigs[0] == sigs[1]
+    # The array run must not fall back to reference decode: both
+    # threads' traces (the FFT is ~9.4k instructions) bind kernels.
+    array_core = cores[0]
+    assert isinstance(array_core.thread(0).kernels, list)
+    assert isinstance(array_core.thread(1).kernels, list)
 
 
 def test_governor_experiment_serial_jobs_backend_identical(tmp_path):

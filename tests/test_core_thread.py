@@ -1,8 +1,10 @@
 """Unit tests for per-thread state: repetitions, rewind, gating."""
 
+import dataclasses
+
 import pytest
 
-from repro.core import SMTCore
+from repro.core import SMTCore, make_core
 from repro.core.thread import HardwareThread, InflightGroup
 from repro.isa import FixedTraceSource, Trace, fx
 
@@ -131,13 +133,20 @@ class TestFiniteWorkloadsOnCore:
 
 
 class TestRepetitionGate:
+    """Repetition gating on the object engine (the reference loop)."""
+
+    engine = "object"
+
+    def make(self, config):
+        return make_core(dataclasses.replace(config, engine=self.engine))
+
     def test_gate_blocks_until_open(self, config):
         opened = {"at": 5000}
 
         def gate(tid, rep, now):
             return now >= opened["at"]
 
-        core = SMTCore(config)
+        core = self.make(config)
         core.load([small_source()], rep_gate=gate)
         core.step(4000)
         assert core.thread(0).retired == 0
@@ -150,24 +159,24 @@ class TestRepetitionGate:
         def gate(tid, rep, now):
             return rep < allowed["max_rep"]
 
-        core = SMTCore(config)
+        core = self.make(config)
         core.load([small_source()], rep_gate=gate)
         core.step(20_000)
         assert core.thread(0).completed_repetitions == 2
 
     def test_gated_thread_cedes_slots_to_sibling(self, config):
-        core = SMTCore(config)
+        core = self.make(config)
         core.load([small_source(name="a"), small_source(name="b")],
                   rep_gate=lambda tid, rep, now: tid == 0)
         core.step(10_000)
-        solo = SMTCore(config)
+        solo = self.make(config)
         solo.load([small_source(name="a")])
         solo.step(10_000)
         assert core.thread(1).retired == 0
         assert core.thread(0).retired > 0.75 * solo.thread(0).retired
 
     def test_rep_start_times_recorded(self, config):
-        core = SMTCore(config)
+        core = self.make(config)
         core.load([small_source()])
         core.step(5000)
         th = core.thread(0)
@@ -177,3 +186,10 @@ class TestRepetitionGate:
         # Each repetition starts before it ends.
         for s, e in zip(starts, th.rep_end_times):
             assert s < e
+
+
+class TestRepetitionGateArray(TestRepetitionGate):
+    """The same gate contract on the compiled kernels: gated runs stay
+    on the array loop, which polls the gate at decode."""
+
+    engine = "array"

@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from repro.core import make_core
 from repro.workloads import tracecache
 from repro.workloads.tracecache import (
     SCHEMA_VERSION,
@@ -73,27 +74,35 @@ def test_clear_cache_resets_everything(config):
     assert all(v == 0 for v in cache_info().values())
 
 
+def _consts(config):
+    return make_core(config)._consts(config.decode_width)
+
+
 def test_compiled_cache_keyed_by_trace_content(config):
-    """The compiled-trace cache key is the instruction tuple itself:
-    identical content hits regardless of provenance, any content
-    change (a different workload here) builds a distinct entry."""
+    """The kernel-factory cache key is the instruction tuple itself
+    (plus the baked constants): identical content hits regardless of
+    provenance, any content change (a different workload here) builds
+    a distinct entry."""
+    consts = _consts(config)
     trace = tuple(cached_workload("cpu_int", config).repetition(0))
-    compiled = tracecache.compiled_trace(trace)
-    assert tracecache.compiled_trace(tuple(trace)) is compiled
+    factory = tracecache.kernel_factory(trace, consts)
+    assert factory is not None
+    assert tracecache.kernel_factory(tuple(trace), consts) is factory
     info = cache_info()
-    assert (info["compiled_hits"], info["compiled_misses"]) == (1, 1)
+    assert (info["factory_hits"], info["factory_misses"]) == (1, 1)
     other = tuple(cached_workload("ldint_l1", config).repetition(0))
-    assert tracecache.compiled_trace(other) is not compiled
-    assert cache_info()["compiled_entries"] == 2
+    assert tracecache.kernel_factory(other, consts) is not factory
+    assert cache_info()["factory_entries"] == 2
 
 
 def test_compiled_cache_invalidated_by_clear(config):
+    consts = _consts(config)
     trace = tuple(cached_workload("cpu_int", config).repetition(0))
-    compiled = tracecache.compiled_trace(trace)
+    factory = tracecache.kernel_factory(trace, consts)
     clear_cache()
-    assert cache_info()["compiled_entries"] == 0
-    rebuilt = tracecache.compiled_trace(trace)
-    assert rebuilt is not compiled  # genuinely rebuilt, not served stale
+    assert cache_info()["factory_entries"] == 0
+    rebuilt = tracecache.kernel_factory(trace, consts)
+    assert rebuilt is not factory  # genuinely rebuilt, not served stale
 
 
 def test_worker_handshake_rejects_version_mismatch(config):

@@ -1,5 +1,7 @@
 """Tests for the case-study workloads: FFT, LU, SPEC models, pipeline."""
 
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -206,6 +208,26 @@ class TestSoftwarePipeline:
         fft_s, lu_s, iter_s = run.seconds(config)
         assert iter_s == pytest.approx(
             run.iteration_cycles / config.clock_hz)
+
+    def test_run_leaves_no_core_cycle(self, config, monkeypatch):
+        """The core a run builds dies with the run, without a gen-2 GC
+        (the rep gate must not capture the core that holds it)."""
+        from repro.workloads import pipeline as pipeline_mod
+        make = pipeline_mod.make_core
+        built = []
+
+        def capture(cfg):
+            core = make(cfg)
+            built.append(weakref.ref(core))
+            return core
+
+        monkeypatch.setattr(pipeline_mod, "make_core", capture)
+        gc.disable()
+        try:
+            SoftwarePipeline(config=config).run(iterations=4)
+            assert built and built[0]() is None
+        finally:
+            gc.enable()
 
     def test_parameter_validation(self, config, pipeline):
         with pytest.raises(ValueError):
