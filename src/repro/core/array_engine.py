@@ -373,26 +373,20 @@ class ArraySMTCore(SMTCore):
             # engine's order: the owner's, then the sibling's.
             tid = tid0 if one else tab[now % tab_len]
             if tid is not None:
-                if gate_on:
-                    if tid == 0:
-                        if avail0 and (not t0.gated
-                                       or gate_open(t0, 0, now)):
-                            dec = 0
-                        elif avail1 and (not t1.gated
-                                         or gate_open(t1, 1, now)):
-                            dec = 1
-                        else:
-                            dec = -1
-                    elif avail1 and (not t1.gated or gate_open(t1, 1, now)):
-                        dec = 1
-                    elif avail0 and (not t0.gated or gate_open(t0, 0, now)):
+                if tid == 0:
+                    if avail0 and (not t0.gated or gate_open(t0, 0, now)):
                         dec = 0
+                    elif avail1 and (not t1.gated
+                                     or gate_open(t1, 1, now)):
+                        dec = 1
                     else:
                         dec = -1
-                elif tid == 0:
-                    dec = 0 if avail0 else (1 if avail1 else -1)
+                elif avail1 and (not t1.gated or gate_open(t1, 1, now)):
+                    dec = 1
+                elif avail0 and (not t0.gated or gate_open(t0, 0, now)):
+                    dec = 0
                 else:
-                    dec = 1 if avail1 else (0 if avail0 else -1)
+                    dec = -1
                 if dec == 0:
                     own0 += 1
                     if su0 > now:
@@ -429,8 +423,7 @@ class ArraySMTCore(SMTCore):
                             pos0 = p2
                             if rd:
                                 t0.advance_repetition()
-                                if gate_on:
-                                    t0.gated = True
+                                t0.gated = gate_on
                                 pos0 = 0
                                 rep0 = t0.rep_index
                                 n0 = len(t0.trace)
@@ -519,8 +512,7 @@ class ArraySMTCore(SMTCore):
                             pos1 = p2
                             if rd:
                                 t1.advance_repetition()
-                                if gate_on:
-                                    t1.gated = True
+                                t1.gated = gate_on
                                 pos1 = 0
                                 rep1 = t1.rep_index
                                 n1 = len(t1.trace)

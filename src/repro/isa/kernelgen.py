@@ -44,6 +44,7 @@ from a data table, not from source lines.
 
 from __future__ import annotations
 
+from types import FunctionType
 from typing import NamedTuple
 
 from repro.isa.compiled import READ_SENTINEL, WRITE_SINK, CompiledTrace
@@ -151,7 +152,7 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
     then produce the same body text for every iteration of a loop, so
     one compiled code object (the expensive part) serves all of them;
     per-group functions are instantiated over it by rebinding the
-    parameter defaults (see the ``_GROUPS`` loop in the factory).
+    parameter defaults (see :func:`compile_factory`).
     """
     ops, dsts = compiled.op, compiled.dst
     s1s, s2s = compiled.s1, compiled.s2
@@ -318,22 +319,21 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
 
 
 def generate_factory_source(compiled: CompiledTrace, consts: KernelConsts
-                            ) -> tuple[str, tuple] | None:
-    """Source of ``make_kernels`` for ``compiled`` and its group table.
+                            ) -> tuple[str, tuple, int] | None:
+    """Source of ``make_bodies`` for ``compiled``, plus its group table.
 
-    Returns ``(source, groups)``, or None when the trace is not
+    Returns ``(source, groups, n)``, or None when the trace is not
     kernelizable under ``consts`` (group extents dynamic, or an empty
-    trace); callers then fall back to the reference decode path.
-    ``groups`` holds one ``(start, body_index, values)`` row per
-    kernelized group start; :func:`compile_factory` hands it to the
-    module as ``_GROUPS``.
+    trace); callers then fall back to the reference decode path.  The
+    source defines only the distinct group bodies; ``groups`` holds one
+    ``(start, body_index, values)`` row per kernelized group start of
+    the ``n``-instruction trace (see :func:`compile_factory`).
     """
     n = len(compiled.op)
     if not consts.branch_ends or consts.width < 1 or n == 0:
         return None
     out: list[str] = [
-        "from types import FunctionType as _FT",
-        "def make_kernels(th, fxu, lsu, fpu, bxu, hl, hs, predict):",
+        "def make_bodies(th, fxu, lsu, fpu, bxu, hl, hs, predict):",
         "    rr = th.reg_ready",
     ]
     for pool, occ, get, ti, _w in _POOL_NAMES.values():
@@ -341,9 +341,7 @@ def generate_factory_source(compiled: CompiledTrace, consts: KernelConsts
         out.append(f"    {get} = {occ}.get")
         out.append(f"    {ti} = {pool}.thread_issues")
     # Loop-structured traces repeat group bodies across iterations:
-    # the module compiles each distinct body once, and the per-group
-    # functions are instantiated over it from the data table by
-    # rebinding the group-varying parameter defaults.
+    # the module compiles each distinct body once.
     bodies: dict[str, int] = {}
     groups = []
     for g0, (end, has_prio) in partition_groups(compiled, consts).items():
@@ -355,25 +353,31 @@ def generate_factory_source(compiled: CompiledTrace, consts: KernelConsts
             b = bodies[body] = len(bodies)
             out.append(f"    def _b{b}{body}")
         groups.append((g0, b, values))
-    out += [
-        "    B = [" + ", ".join(f"_b{b}" for b in range(len(bodies))) + "]",
-        f"    K = [None] * {n}",
-        "    for g0, b, pre in _GROUPS:",
-        "        f = B[b]",
-        "        d = f.__defaults__",
-        "        K[g0] = _FT(f.__code__, f.__globals__, f.__name__,",
-        "                    pre + d[len(pre):], None)",
-        "    return K",
-    ]
-    return "\n".join(out) + "\n", tuple(groups)
+    out.append("    return [" + ", ".join(f"_b{b}" for b in range(len(bodies)))
+               + "]")
+    return "\n".join(out) + "\n", tuple(groups), n
 
 
-def compile_factory(source: str, groups: tuple,
+def compile_factory(source: str, groups: tuple, n: int,
                     name: str = "<trace-kernels>"):
-    """Compile generated factory source over its group table.
+    """Compile generated ``make_bodies`` source into a kernel factory.
 
-    Returns ``make_kernels``.
+    The factory binds the bodies to a thread's state and instantiates
+    one function per ``groups`` row over its body's code object by
+    rebinding the group-varying parameter defaults; it returns the
+    position-indexed kernel list (None at reference-decode starts).
     """
-    ns: dict = {"_GROUPS": groups}
+    ns: dict = {}
     exec(compile(source, name, "exec"), ns)  # noqa: S102 (own codegen)
-    return ns["make_kernels"]
+    make_bodies = ns["make_bodies"]
+
+    def make_kernels(*binds):
+        bodies = make_bodies(*binds)
+        kernels: list = [None] * n
+        for g0, b, pre in groups:
+            f = bodies[b]
+            kernels[g0] = FunctionType(
+                f.__code__, f.__globals__, f.__name__,
+                pre + f.__defaults__[len(pre):], None)
+        return kernels
+    return make_kernels

@@ -98,7 +98,7 @@ _FACTORY_UNSET = object()
 def kernel_factory(instructions: tuple, consts: KernelConsts):
     """Fetch (or compile) the kernel factory for a trace.
 
-    Returns the generated ``make_kernels`` function, or None when the
+    Returns the kernel factory (:func:`compile_factory`), or None when the
     trace is not kernelizable under ``consts`` (the engine then uses
     its reference decode path).  The negative answer is cached too.
     """
