@@ -24,10 +24,13 @@ Exactness is structural, not approximate: a kernel performs exactly
 the scoreboard reads, unit-pool claims and counter increments the
 reference decode loop would (unit-pool ``issues``/``thread_issues``/
 ``total_wait`` are folded per group, which is exact at cycle
-granularity), and every group the kernels *cannot* express -- groups
-containing a priority nop, traces with dynamic group extents -- falls
-back to the inherited ``SMTCore._decode_slot``, which is the
-reference implementation itself.  Repetition-gated runs (the software
+granularity; a load or store that hits both the D-TLB and the L1D
+makes the hierarchy's stamp and counter writes in the kernel, and
+anything else calls the hierarchy), and every group the kernels
+*cannot* express -- groups containing a priority nop, traces with
+dynamic group extents -- falls back to the inherited
+``SMTCore._decode_slot``, which is the reference implementation
+itself.  Repetition-gated runs (the software
 pipeline) stay on the kernels: the loop polls the gate at decode
 exactly where the object engine does.  Only instrumented runs
 (pipeline tracer) route to the inherited step loop wholesale.  The
@@ -181,7 +184,13 @@ class ArraySMTCore(SMTCore):
                 fxu_cap=cfg.num_fxu,
                 lsu_cap=cfg.num_lsu,
                 fpu_cap=cfg.num_fpu,
-                bxu_cap=cfg.num_bxu)
+                bxu_cap=cfg.num_bxu,
+                tlb_page=cfg.tlb.page_bytes,
+                tlb_sets=cfg.tlb.entries // cfg.tlb.associativity,
+                l1_line=cfg.l1d.line_bytes,
+                l1_sets=cfg.l1d.num_sets,
+                l1_latency=cfg.l1d.latency,
+                store_latency=cfg.store_latency)
             self._kern_consts[width] = consts
         return consts
 
@@ -189,7 +198,8 @@ class ArraySMTCore(SMTCore):
         """Kernel list for ``th``'s current trace at ``width`` (or None).
 
         Instantiation binds the thread scoreboard, this core's unit
-        pools, memory hierarchy and branch predictor into the kernels'
+        pools, branch predictor, hierarchy entry points, D-TLB/L1D set
+        dicts and hit/load/store counter lists into the kernels'
         default arguments; all of those are identity-stable across
         ``reset`` (they clear in place), and threads are constructed
         after the pools reset in :meth:`SMTCore.load`.
@@ -205,10 +215,14 @@ class ArraySMTCore(SMTCore):
         else:
             kernels = th._kern_cache.get(factory)
             if kernels is None:
+                hier = self.hierarchy
                 kernels = factory(
                     th, self._fxu_pool, self._lsu_pool, self._fpu_pool,
                     self.fus.bxu, self._hier_load, self._hier_store,
-                    self.bht.predict_and_update)
+                    self.bht.predict_and_update, hier.tlb._sets,
+                    hier.l1d._sets, hier.tlb.stats.thread_hits,
+                    hier.l1d.stats.thread_hits, hier._l1_counts,
+                    hier.store_counts)
                 th._kern_cache[factory] = kernels
         th.kernels = kernels
         th._kern_width = width

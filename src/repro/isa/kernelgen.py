@@ -28,18 +28,29 @@ bytecodes per simulated machine slot -- and returns
 rep_done)`` for the engine's dispatch tail.
 
 Shared mutable state (the thread scoreboard, the unit-pool occupancy
-maps, the memory hierarchy, the branch predictor) is bound once per
-(thread, trace) pair through default arguments -- ``LOAD_FAST`` at
+maps, the branch predictor, the memory hierarchy's load and store
+entry points, the D-TLB and L1D set dicts, their per-thread hit
+counters and the hierarchy's L1-load and store counters) is bound once
+per (thread, trace) pair through default arguments -- ``LOAD_FAST`` at
 run time, no cell indirection, nothing passed per call beyond
 ``(now, tid)``.
+
+Loads and stores resolve D-TLB + L1D hits inline: set indices and
+tags derive from the group's address with baked divisors, and the
+membership test changes nothing.  A hit in both makes the hierarchy's
+writes (issue-cycle stamps, per-thread hit counters, the L1-load or
+store counter) and completes at the baked latency; anything else calls
+the hierarchy, which redoes both lookups, so everything below the L1D
+sees the reference sequence of misses.  Rewriting an existing dict key
+keeps its order, so LRU victim tie-breaks match.
 
 Groups containing a ``PRIO_NOP`` are left to the engine's reference
 decode path (they mutate the arbiter, which a kernel must not), as
 are traces that are not kernelizable at all (``branch_ends_group``
-off, or an empty trace).  Trace length is not capped: the generated
-module holds only the *distinct* group bodies (the 2,814 groups of
-the FFT producer share 16), and the per-group instantiations come
-from a data table, not from source lines.
+off, or an empty trace).  Trace length is not capped: only the
+*distinct* group bodies are compiled (the 2,814 groups of the FFT
+producer share 16), each as its own small module, and the per-group
+instantiations come from a data table, not from source lines.
 """
 
 from __future__ import annotations
@@ -78,11 +89,18 @@ class KernelConsts(NamedTuple):
     lsu_cap: int
     fpu_cap: int
     bxu_cap: int
+    tlb_page: int
+    tlb_sets: int
+    l1_line: int
+    l1_sets: int
+    l1_latency: int
+    store_latency: int
 
 
 #: Per-op (pool prefix, cap field, latency field); None entries are
-#: resolved specially (loads/stores complete through the hierarchy,
-#: nops complete at operand readiness).
+#: resolved specially (loads/stores complete at the baked L1/store
+#: latency on a TLB+L1D hit and through the hierarchy otherwise, nops
+#: complete at operand readiness).
 _POOL = {
     _OP_FX: ("fx", "fxu_cap", "fx_latency"),
     _OP_MUL: ("fx", "fxu_cap", "fx_mul_latency"),
@@ -172,35 +190,36 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
         info = _POOL.get(ops[p])
         if info is not None:
             pools[info[0]] = pools.get(info[0], 0) + 1
-    binds = ["rr=rr"]
+    binds = ["rr"]
     for pool in pools:
         obj, occ, get, ti, _w = _POOL_NAMES[pool]
-        binds += [f"{get}={get}", f"{occ}={occ}", f"{obj}={obj}",
-                  f"{ti}={ti}"]
+        binds += [get, occ, obj, ti]
+    if any(ops[p] == _OP_LOAD or ops[p] == _OP_STORE for p in idx):
+        binds += ["tlbs", "l1s", "tth", "l1h"]
     if any(ops[p] == _OP_LOAD for p in idx):
-        binds.append("hl=hl")
+        binds += ["hl", "l1c"]
     if any(ops[p] == _OP_STORE for p in idx):
-        binds.append("hs=hs")
+        binds += ["hs", "stc"]
     if ops[end - 1] == _OP_BR:
-        binds.append("predict=predict")
+        binds.append("predict")
         params += ["KEY=0", "TK=False"]
         # (pos << 1) | tid with pos already past the branch.
         values += [end << 1, auxs[end - 1] == 1]
 
     out: list[str] = []
     w = out.append
-    w(f"        base = now + {consts.decode_to_issue}")
+    w(f"    base = now + {consts.decode_to_issue}")
 
     ow_used = any(s1s[p] != READ_SENTINEL or s2s[p] != READ_SENTINEL
                   for p in idx)
     fu_used = bool(pools)
     if ow_used:
-        w("        ow = 0")
+        w("    ow = 0")
     if fu_used:
-        w("        fw = 0")
+        w("    fw = 0")
     for pool, uses in pools.items():
         if uses:
-            w(f"        {_POOL_NAMES[pool][4]} = 0")
+            w(f"    {_POOL_NAMES[pool][4]} = 0")
 
     # Last writer per register: only its scoreboard store survives
     # (intermediate values are forwarded through locals).  Branches
@@ -231,15 +250,15 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
             e = "base"
         else:
             e = f"e{i}"
-            w(f"        {e} = {terms[0]}")
+            w(f"    {e} = {terms[0]}")
             for t in terms[1:]:
-                w(f"        t = {t}")
-                w(f"        if t > {e}: {e} = t")
+                w(f"    t = {t}")
+                w(f"    if t > {e}: {e} = t")
             if not any_fwd:
                 # Forwarded completions are provably >= base; raw
                 # scoreboard reads are not.
-                w(f"        if {e} < base: {e} = base")
-            w(f"        ow += {e} - base")
+                w(f"    if {e} < base: {e} = base")
+            w(f"    ow += {e} - base")
 
         # -- functional-unit claim + completion --------------------
         c = f"c{i}"
@@ -248,41 +267,57 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
             if e == "base":
                 c = "base"
             else:
-                w(f"        {c} = {e}")
+                w(f"    {c} = {e}")
         else:
             pool, cap_field, lat_field = info
             _obj, occ, get, _ti, pw = _POOL_NAMES[pool]
             cap = getattr(consts, cap_field)
             s = f"s{i}"
-            w(f"        {s} = {e}")
+            w(f"    {s} = {e}")
+            w(f"    v = {get}({s}, 0)")
+            w(f"    while v >= {cap}:")
+            w(f"        {s} += 1")
             w(f"        v = {get}({s}, 0)")
-            w(f"        while v >= {cap}:")
-            w(f"            {s} += 1")
-            w(f"            v = {get}({s}, 0)")
-            w(f"        {occ}[{s}] = v + 1")
+            w(f"    {occ}[{s}] = v + 1")
             if e != "base":
-                w(f"        if {s} > {e}:")
-                w(f"            t = {s} - {e}")
+                w(f"    if {s} > {e}:")
+                w(f"        t = {s} - {e}")
             else:
-                w(f"        if {s} > base:")
-                w(f"            t = {s} - base")
-            w("            fw += t")
-            w(f"            {pw} += t")
-            if op == _OP_LOAD:
+                w(f"    if {s} > base:")
+                w(f"        t = {s} - base")
+            w("        fw += t")
+            w(f"        {pw} += t")
+            if op == _OP_LOAD or op == _OP_STORE:
+                # Inline hit path (see the module docstring).
                 params.append(f"A{i}=0")
                 values.append(addrs[p])
-                w(f"        {c} = hl(A{i}, {s}, tid, now)")
-            elif op == _OP_STORE:
-                params.append(f"A{i}=0")
-                values.append(addrs[p])
-                w(f"        {c} = hs(A{i}, {s}, tid)")
+                w(f"    pg = A{i} // {consts.tlb_page}")
+                w(f"    ts = tlbs[pg % {consts.tlb_sets}]")
+                w(f"    pg //= {consts.tlb_sets}")
+                w(f"    ln = A{i} // {consts.l1_line}")
+                w(f"    cs = l1s[ln % {consts.l1_sets}]")
+                w(f"    ln //= {consts.l1_sets}")
+                w("    if pg in ts and ln in cs:")
+                w(f"        ts[pg] = cs[ln] = {s}")
+                w("        tth[tid] += 1")
+                w("        l1h[tid] += 1")
+                if op == _OP_LOAD:
+                    w("        l1c[tid] += 1")
+                    w(f"        {c} = {s} + {consts.l1_latency}")
+                    w("    else:")
+                    w(f"        {c} = hl(A{i}, {s}, tid, now)")
+                else:
+                    w("        stc[tid] += 1")
+                    w(f"        {c} = {s} + {consts.store_latency}")
+                    w("    else:")
+                    w(f"        {c} = hs(A{i}, {s}, tid)")
             else:
-                w(f"        {c} = {s} + {getattr(consts, lat_field)}")
+                w(f"    {c} = {s} + {getattr(consts, lat_field)}")
 
         if op != _OP_BR and dsts[p] != WRITE_SINK:
             fwd[dsts[p]] = c
             if last_writer[dsts[p]] == p:
-                w(f"        rr[{dsts[p]}] = {c}")
+                w(f"    rr[{dsts[p]}] = {c}")
         comp_names.append(c)
 
     # -- group completion --------------------------------------------
@@ -290,17 +325,17 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
         g = comp_names[0]
     else:
         g = "g"
-        w(f"        g = {comp_names[0]}")
+        w(f"    g = {comp_names[0]}")
         for c in comp_names[1:]:
-            w(f"        if {c} > g: g = {c}")
+            w(f"    if {c} > g: g = {c}")
 
     # -- per-pool counter folds ---------------------------------------
     for pool, uses in pools.items():
         obj, _occ, _get, ti, pw = _POOL_NAMES[pool]
-        w(f"        {obj}.issues += {uses}")
-        w(f"        {ti}[tid] += {uses}")
-        w(f"        if {pw}:")
-        w(f"            {obj}.total_wait += {pw}")
+        w(f"    {obj}.issues += {uses}")
+        w(f"    {ti}[tid] += {uses}")
+        w(f"    if {pw}:")
+        w(f"        {obj}.total_wait += {pw}")
 
     # -- return --------------------------------------------------------
     count = end - g0
@@ -308,76 +343,87 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
     fu = "fw" if fu_used else "0"
     if ops[end - 1] == _OP_BR:
         cb = comp_names[-1]
-        w("        if predict(KEY | tid, TK, tid):")
-        w(f"            return NXT, {count}, {g}, {ow}, {fu}, -1, RD")
-        w(f"        return NXT, {count}, {g}, {ow}, {fu}, {cb}, RD")
-    else:
+        w("    if predict(KEY | tid, TK, tid):")
         w(f"        return NXT, {count}, {g}, {ow}, {fu}, -1, RD")
+        w(f"    return NXT, {count}, {g}, {ow}, {fu}, {cb}, RD")
+    else:
+        w(f"    return NXT, {count}, {g}, {ow}, {fu}, -1, RD")
 
-    sig = ", ".join(params + binds)
-    return f"(now, tid, {sig}):\n" + "\n".join(out), tuple(values)
+    sig = ", ".join(params + [f"{b}=None" for b in binds])
+    return (f"def kernel(now, tid, {sig}):\n" + "\n".join(out) + "\n",
+            tuple(values))
 
 
 def generate_factory_source(compiled: CompiledTrace, consts: KernelConsts
-                            ) -> tuple[str, tuple, int] | None:
-    """Source of ``make_bodies`` for ``compiled``, plus its group table.
+                            ) -> tuple[tuple[str, ...], tuple, int] | None:
+    """Sources of the distinct group bodies of ``compiled``, plus the
+    group table.
 
-    Returns ``(source, groups, n)``, or None when the trace is not
+    Returns ``(bodies, groups, n)``, or None when the trace is not
     kernelizable under ``consts`` (group extents dynamic, or an empty
-    trace); callers then fall back to the reference decode path.  The
-    source defines only the distinct group bodies; ``groups`` holds one
-    ``(start, body_index, values)`` row per kernelized group start of
-    the ``n``-instruction trace (see :func:`compile_factory`).
+    trace); callers then fall back to the reference decode path.  Each
+    body is a stand-alone ``def kernel(...)`` module; ``groups`` holds
+    one ``(start, body_index, values)`` row per kernelized group start
+    of the ``n``-instruction trace (see :func:`compile_factory`).
     """
     n = len(compiled.op)
     if not consts.branch_ends or consts.width < 1 or n == 0:
         return None
-    out: list[str] = [
-        "def make_bodies(th, fxu, lsu, fpu, bxu, hl, hs, predict):",
-        "    rr = th.reg_ready",
-    ]
-    for pool, occ, get, ti, _w in _POOL_NAMES.values():
-        out.append(f"    {occ} = {pool}._occupied")
-        out.append(f"    {get} = {occ}.get")
-        out.append(f"    {ti} = {pool}.thread_issues")
     # Loop-structured traces repeat group bodies across iterations:
-    # the module compiles each distinct body once.
+    # each distinct body is compiled once.
     bodies: dict[str, int] = {}
     groups = []
     for g0, (end, has_prio) in partition_groups(compiled, consts).items():
         if has_prio:
             continue  # reference path: may rebuild the arbiter
         body, values = _emit_group(compiled, g0, end, consts)
-        b = bodies.get(body)
-        if b is None:
-            b = bodies[body] = len(bodies)
-            out.append(f"    def _b{b}{body}")
-        groups.append((g0, b, values))
-    out.append("    return [" + ", ".join(f"_b{b}" for b in range(len(bodies)))
-               + "]")
-    return "\n".join(out) + "\n", tuple(groups), n
+        groups.append((g0, bodies.setdefault(body, len(bodies)), values))
+    return tuple(bodies), tuple(groups), n
 
 
-def compile_factory(source: str, groups: tuple, n: int,
+def _bind_env(th, fxu, lsu, fpu, bxu, hl, hs, predict, tlbs, l1s, tth,
+              l1h, l1c, stc) -> dict:
+    """Bind name -> object for the state kernels take as defaults."""
+    env = {"rr": th.reg_ready, "hl": hl, "hs": hs, "predict": predict,
+           "tlbs": tlbs, "l1s": l1s, "tth": tth, "l1h": l1h, "l1c": l1c,
+           "stc": stc}
+    for pool, (obj, occ, get, ti, _w) in zip((fxu, lsu, fpu, bxu),
+                                             _POOL_NAMES.values()):
+        env.update({obj: pool, occ: pool._occupied,
+                    get: pool._occupied.get, ti: pool.thread_issues})
+    return env
+
+
+def compile_factory(bodies: tuple[str, ...], groups: tuple, n: int,
                     name: str = "<trace-kernels>"):
-    """Compile generated ``make_bodies`` source into a kernel factory.
+    """Compile generated group bodies into a kernel factory.
 
-    The factory binds the bodies to a thread's state and instantiates
-    one function per ``groups`` row over its body's code object by
-    rebinding the group-varying parameter defaults; it returns the
+    Each body is compiled on its own, so the compiler's peak memory is
+    that of one body, not of the whole trace.  The factory takes the
+    :func:`_bind_env` arguments and instantiates one function per
+    ``groups`` row over its body's code object, with the group's
+    values and the bound state as defaults; it returns the
     position-indexed kernel list (None at reference-decode starts).
     """
-    ns: dict = {}
-    exec(compile(source, name, "exec"), ns)  # noqa: S102 (own codegen)
-    make_bodies = ns["make_bodies"]
+    protos = []
+    for body in bodies:
+        ns: dict = {}
+        exec(compile(body, name, "exec"), ns)  # noqa: S102 (own codegen)
+        protos.append(ns["kernel"])
 
     def make_kernels(*binds):
-        bodies = make_bodies(*binds)
+        env = _bind_env(*binds)
+        bound: dict[int, tuple] = {}
         kernels: list = [None] * n
         for g0, b, pre in groups:
-            f = bodies[b]
-            kernels[g0] = FunctionType(
-                f.__code__, f.__globals__, f.__name__,
-                pre + f.__defaults__[len(pre):], None)
+            f = protos[b]
+            code = f.__code__
+            state = bound.get(b)
+            if state is None:
+                state = bound[b] = tuple(
+                    env[v] for v in
+                    code.co_varnames[2 + len(pre):code.co_argcount])
+            kernels[g0] = FunctionType(code, f.__globals__, f.__name__,
+                                       pre + state, None)
         return kernels
     return make_kernels

@@ -12,23 +12,29 @@ from repro.config import CacheConfig
 
 
 class CacheStats:
-    """Hit/miss counters, kept per thread and in aggregate."""
+    """Hit/miss counters, kept per thread; the totals are their sums."""
 
-    __slots__ = ("hits", "misses", "thread_hits", "thread_misses")
+    __slots__ = ("thread_hits", "thread_misses")
 
     def __init__(self, num_threads: int = 2):
-        self.hits = 0
-        self.misses = 0
         self.thread_hits = [0] * num_threads
         self.thread_misses = [0] * num_threads
 
     def reset(self) -> None:
-        """Zero all counters."""
-        self.hits = 0
-        self.misses = 0
+        """Zero all counters (in place: compiled kernels hold the lists)."""
         for i in range(len(self.thread_hits)):
             self.thread_hits[i] = 0
             self.thread_misses[i] = 0
+
+    @property
+    def hits(self) -> int:
+        """Total hits over all threads."""
+        return sum(self.thread_hits)
+
+    @property
+    def misses(self) -> int:
+        """Total misses over all threads."""
+        return sum(self.thread_misses)
 
     @property
     def accesses(self) -> int:
@@ -63,10 +69,6 @@ class SetAssociativeCache:
             s.clear()
         self.stats.reset()
 
-    def line_address(self, addr: int) -> int:
-        """The line-granular address containing byte ``addr``."""
-        return addr // self._line_bytes
-
     def access(self, addr: int, now: int, thread_id: int = 0) -> bool:
         """Look up byte address ``addr`` at time ``now``.
 
@@ -78,14 +80,11 @@ class SetAssociativeCache:
         idx = line % self._num_sets
         tag = line // self._num_sets
         cache_set = self._sets[idx]
-        stats = self.stats
         if tag in cache_set:
             cache_set[tag] = now
-            stats.hits += 1
-            stats.thread_hits[thread_id] += 1
+            self.stats.thread_hits[thread_id] += 1
             return True
-        stats.misses += 1
-        stats.thread_misses[thread_id] += 1
+        self.stats.thread_misses[thread_id] += 1
         if len(cache_set) >= self._assoc:
             victim = min(cache_set, key=cache_set.__getitem__)
             del cache_set[victim]

@@ -2,9 +2,10 @@
 
 The hierarchy is fully shared between the two SMT threads, as on
 POWER5: capacity/conflict interference in every cache level, a shared
-load-miss queue, and a serialized DRAM bus.  ``load`` returns the
-data-ready time of an access issued at a given cycle; ``store`` models
-a store-queue-absorbed write (write-allocate into L1D, fixed latency).
+load-miss queue, and a serialized DRAM bus.  ``load_complete`` returns
+the data-ready time of an access issued at a given cycle (``load``
+also reports the servicing level); ``store`` models a
+store-queue-absorbed write (write-allocate into L1D, fixed latency).
 """
 
 from __future__ import annotations
@@ -108,84 +109,25 @@ class MemoryHierarchy:
              now: int | None = None) -> LoadResult:
         """Schedule a load issuing at cycle ``issue``.
 
-        Returns the data-ready time and the servicing level.  ``now``
-        is the core's current cycle (decode time), used by the LMQ and
-        DRAM bus to prune expired occupancy records; it defaults to
-        ``issue`` for standalone use.
+        Returns the data-ready time and the servicing level: the
+        :meth:`load_complete` result, with the level read from the
+        ``level_counts`` entry the access moved.
         """
-        if now is None:
-            now = issue
-        latency = 0
-        if not self.tlb.access(addr, issue, thread_id):
-            latency += self.config.tlb.miss_penalty
-        if self.l1d.access(addr, issue, thread_id):
-            self.level_counts[MemLevel.L1][thread_id] += 1
-            return LoadResult(issue + latency + self.config.l1d.latency,
-                              MemLevel.L1)
-        # L1 miss: probe the lower levels to learn the servicing level
-        # (and its duration), then reserve an LMQ slot for it.
-        want = issue + latency
-        pf = self._pf
-        pf_on = pf is not None and pf.on[thread_id]
-        if pf_on:
-            ready = pf.consume(addr, thread_id)
-            if ready >= 0:
-                # The line is (or soon will be) in flight from a
-                # prefetch fill: install it into the L2 and service
-                # the demand as an L2 access, completing no earlier
-                # than the fill arrives.
-                self.l2.access(addr, want, thread_id)
-                duration = self.config.l2.latency
-                start = self.lmq.acquire(want, now, thread_id, duration)
-                port = self.chip_port
-                if port is not None:
-                    start = port.l2_grant(start, thread_id)
-                complete = start + duration
-                if ready > complete:
-                    complete = ready
-                    pf.account(thread_id, True)
-                else:
-                    pf.account(thread_id, False)
-                self.lmq.fill(complete)
-                self.level_counts[MemLevel.L2][thread_id] += 1
-                pf.observe(self, addr, want, now, thread_id)
-                return LoadResult(complete, MemLevel.L2)
-        if self.l2.access(addr, want, thread_id):
-            level = MemLevel.L2
-            duration = self.config.l2.latency
-        elif self.l3.access(addr, want, thread_id):
-            level = MemLevel.L3
-            duration = self.config.l3.latency
-        else:
-            level = MemLevel.MEM
-            duration = (self.config.memory.dram_latency
-                        + self.config.memory.dram_bus_gap)
-        start = self.lmq.acquire(want, now, thread_id, duration)
-        port = self.chip_port
-        if port is not None:
-            start = port.l2_grant(start, thread_id)
-        if level is MemLevel.MEM:
-            if port is not None:
-                start = port.mem_grant(start, thread_id)
-            complete = self.dram.access(start, now, thread_id)
-        else:
-            complete = start + duration
-        self.lmq.fill(complete)
-        self.level_counts[level][thread_id] += 1
-        if pf_on:
-            pf.observe(self, addr, want, now, thread_id)
-        return LoadResult(complete, level)
+        counts = self.level_counts
+        before = {level: c[thread_id] for level, c in counts.items()}
+        complete = self.load_complete(addr, issue, thread_id, now)
+        return LoadResult(complete, next(
+            level for level, c in counts.items()
+            if c[thread_id] != before[level]))
 
     def load_complete(self, addr: int, issue: int, thread_id: int = 0,
                       now: int | None = None) -> int:
         """Data-ready time of a load issuing at cycle ``issue``.
 
-        The core's decode loop only needs the completion time, so this
-        hot-path twin of :meth:`load` skips the :class:`LoadResult`
-        allocation and the config attribute chains.  Timing, cache/TLB
-        state transitions and every statistic are identical to
-        :meth:`load` (asserted by the test-suite); keep the two in
-        sync.
+        ``now`` is the core's current cycle (decode time), used by the
+        LMQ and DRAM bus to prune expired occupancy records; it
+        defaults to ``issue`` for standalone use.  The compiled kernels
+        inline the TLB + L1D hit branch (:mod:`repro.isa.kernelgen`).
         """
         if now is None:
             now = issue
@@ -202,6 +144,8 @@ class MemoryHierarchy:
         if pf_on:
             ready = pf.consume(addr, thread_id)
             if ready >= 0:
+                # In flight from a prefetch fill: install into the L2 and
+                # serve as an L2 access, done no earlier than the fill.
                 self.l2.access(addr, want, thread_id)
                 duration = self._l2_latency
                 start = self.lmq.acquire(want, now, thread_id, duration)

@@ -37,14 +37,11 @@ class TLB:
         idx = page % self._num_sets
         tag = page // self._num_sets
         tlb_set = self._sets[idx]
-        stats = self.stats
         if tag in tlb_set:
             tlb_set[tag] = now
-            stats.hits += 1
-            stats.thread_hits[thread_id] += 1
+            self.stats.thread_hits[thread_id] += 1
             return True
-        stats.misses += 1
-        stats.thread_misses[thread_id] += 1
+        self.stats.thread_misses[thread_id] += 1
         if len(tlb_set) >= self._assoc:
             victim = min(tlb_set, key=tlb_set.__getitem__)
             del tlb_set[victim]

@@ -13,12 +13,12 @@ bus -- so an aggressive prefetcher visibly steals bandwidth from the
 sibling thread, which is exactly the priority-interaction axis the
 ``prefetch`` experiment characterizes.
 
-The engine is strictly *load-triggered*: it only runs inside
-``MemoryHierarchy.load``/``load_complete`` calls, never on its own
-cycle.  Both simulation engines (the object decode loop and the
-compiled array kernels) funnel every load through those two methods,
-so prefetch behaviour -- timing and all five ``PM_PREF_*`` counters --
-is bit-identical across engines by construction.
+The engine is strictly *miss-triggered*: it only runs on the L1-miss
+path of ``MemoryHierarchy.load_complete``, never on its own cycle.
+L1D hits resolve inside the array engine's compiled kernels; every L1
+miss still enters ``load_complete``, so the miss-triggered prefetcher
+is unchanged and its behaviour -- timing and all five ``PM_PREF_*``
+counters -- is bit-identical across engines by construction.
 
 In-flight fills live in a per-thread ``{line: ready_cycle}`` map
 rather than being installed into the L2 tags at issue time: a demand

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import POWER5
 from repro.memory import MemLevel, MemoryHierarchy
 
 
@@ -94,3 +95,31 @@ class TestSharing:
         assert hier.l1d.resident_lines() == 0
         assert hier.dram.accesses == 0
         assert hier.level_counts[MemLevel.MEM] == [0, 0]
+
+
+# ----------------------------------------------------------------------
+# load() vs load_complete() equivalence
+# ----------------------------------------------------------------------
+
+
+def _access_pattern():
+    """A mix of L1 hits, repeats, strides and far (page-missing) lines."""
+    seq = [(i * 128) % 8192 for i in range(400)]          # L1/L2 reuse
+    seq += [(i * 4096) + (i % 7) * 64 for i in range(400)]  # TLB misses
+    seq += [(i % 13) * 64 for i in range(200)]            # hot lines
+    return seq
+
+
+@pytest.mark.parametrize("thread_id", [0, 1])
+def test_load_complete_matches_load(thread_id):
+    """Timing and statistics of the two load entry points agree."""
+    config = POWER5.small()
+    via_load = MemoryHierarchy(config)
+    via_fast = MemoryHierarchy(config)
+    issue = 0
+    for addr in _access_pattern():
+        issue += 2
+        expect = via_load.load(addr, issue, thread_id, issue).complete
+        got = via_fast.load_complete(addr, issue, thread_id, issue)
+        assert got == expect, f"divergence at addr={addr:#x}"
+    assert via_load.level_counts == via_fast.level_counts

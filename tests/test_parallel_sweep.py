@@ -5,17 +5,12 @@ construction -- must be invisible in the results: a two-worker
 ``PoolBackend`` sweep has to be byte-identical to the serial one, and a
 cached trace must behave exactly like a freshly built one (and never be
 mutated by a run).  Every executor kind on a smaller mixed cell set is
-compared in ``tests/test_executors.py``.  The
-:meth:`MemoryHierarchy.load_complete` fast path is checked against
-:meth:`load` here too, since the decode loop relies on their
-equivalence.
+compared in ``tests/test_executors.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-
-import pytest
 
 from repro.config import POWER5
 from repro.experiments.base import (
@@ -26,7 +21,6 @@ from repro.experiments.base import (
 )
 from repro.experiments.parallel import PoolBackend
 from repro.fame import FameRunner
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads import cached_workload
 from repro.workloads.tracecache import cache_info, clear_cache
 
@@ -118,31 +112,3 @@ def test_cached_trace_not_mutated_by_a_run():
     assert tuple(workload.repetition(0)) == snapshot
     # And a rerun from the same cached source reproduces the result.
     assert runner.run_single(workload) == first
-
-
-# ----------------------------------------------------------------------
-# load() vs load_complete() equivalence
-# ----------------------------------------------------------------------
-
-
-def _access_pattern():
-    """A mix of L1 hits, repeats, strides and far (page-missing) lines."""
-    seq = [(i * 128) % 8192 for i in range(400)]          # L1/L2 reuse
-    seq += [(i * 4096) + (i % 7) * 64 for i in range(400)]  # TLB misses
-    seq += [(i % 13) * 64 for i in range(200)]            # hot lines
-    return seq
-
-
-@pytest.mark.parametrize("thread_id", [0, 1])
-def test_load_complete_matches_load(thread_id):
-    """Timing and statistics of the two load entry points agree."""
-    config = POWER5.small()
-    via_load = MemoryHierarchy(config)
-    via_fast = MemoryHierarchy(config)
-    issue = 0
-    for addr in _access_pattern():
-        issue += 2
-        expect = via_load.load(addr, issue, thread_id, issue).complete
-        got = via_fast.load_complete(addr, issue, thread_id, issue)
-        assert got == expect, f"divergence at addr={addr:#x}"
-    assert via_load.level_counts == via_fast.level_counts

@@ -1,11 +1,12 @@
 """Differential exactness of the prefetch subsystem.
 
-The stream/stride prefetcher lives entirely inside
-``MemoryHierarchy.load``/``load_complete``, so its behaviour must be
+The stream/stride prefetcher lives entirely on the L1-miss path of
+``MemoryHierarchy.load_complete``.  L1D hits resolve inside the
+compiled kernels; every L1 miss still enters ``load_complete``, so the
+miss-triggered prefetcher is unchanged and its behaviour must be
 **bit-identical** across both simulation engines -- the per-cycle
 object reference loop and the compiled array engine -- on every
-observable: each
-FameResult counter and repetition series, the PMU counter bank
+observable: each FameResult counter and repetition series, the PMU counter bank
 (including all five ``PM_PREF_*`` events) and interval samples, and
 the byte representation of whole sweeps whether computed serially, by
 worker processes, or through the HTTP service backend.

@@ -13,6 +13,7 @@ import dataclasses
 import pytest
 
 from repro.core import make_core
+from repro.isa import FixedTraceSource, Trace
 from repro.workloads import tracecache
 from repro.workloads.tracecache import (
     SCHEMA_VERSION,
@@ -20,6 +21,7 @@ from repro.workloads.tracecache import (
     cached_workload,
     clear_cache,
 )
+from test_array_engine_differential import _machine_state
 
 
 @pytest.fixture(autouse=True)
@@ -103,6 +105,41 @@ def test_compiled_cache_invalidated_by_clear(config):
     assert cache_info()["factory_entries"] == 0
     rebuilt = tracecache.kernel_factory(trace, consts)
     assert rebuilt is not factory  # genuinely rebuilt, not served stale
+
+
+#: Geometry changes the kernels bake in: L1D line size (and with it the
+#: set count), L1D set count alone, and TLB page size.
+GEOMETRIES = {
+    "l1d_line": lambda c: dataclasses.replace(
+        c, l1d=dataclasses.replace(c.l1d, line_bytes=c.l1d.line_bytes // 2)),
+    "l1d_sets": lambda c: dataclasses.replace(
+        c, l1d=dataclasses.replace(c.l1d, size_bytes=c.l1d.size_bytes * 2)),
+    "tlb_page": lambda c: dataclasses.replace(
+        c, tlb=dataclasses.replace(c.tlb, page_bytes=c.tlb.page_bytes * 2)),
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_factory_keyed_by_cache_geometry(config, geometry):
+    """Configs differing only in L1D or TLB geometry never share a
+    kernel factory (the kernels bake set divisors in), and each runs
+    the same trace bit-identically to the object engine."""
+    trace = tuple(cached_workload("ldint_l1", config).repetition(0))
+    factories = []
+    for cfg in (config, GEOMETRIES[geometry](config)):
+        factory = tracecache.kernel_factory(trace, _consts(cfg))
+        factories.append(factory)
+        states = []
+        for engine in ("array", "object"):
+            core = make_core(dataclasses.replace(cfg, engine=engine))
+            core.load([FixedTraceSource(Trace("t", trace))])
+            core.step(20_000)
+            states.append(_machine_state(core))
+            if engine == "array":
+                assert factory in core.thread(0)._kern_cache
+        assert states[0] == states[1]
+    assert factories[0] is not factories[1]
+    assert cache_info()["factory_entries"] == 2
 
 
 def test_worker_handshake_rejects_version_mismatch(config):
