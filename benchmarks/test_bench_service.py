@@ -14,7 +14,7 @@ Gates: the server's own counters must show one computation per unique
 cell and a perfect warm-path dedup hit-rate, and the warm resubmission
 must stay within ``WARM_CEILING`` (absolute or relative to cold) --
 the regression gate on per-submission service overhead (keying, HTTP,
-polling), which a simulator change cannot excuse.  Results land in the
+waiting), which a simulator change cannot excuse.  Results land in the
 ``"service"`` section of ``BENCH_simcore.json`` via read-modify-write.
 """
 

@@ -158,31 +158,47 @@ def partition_groups(compiled: CompiledTrace,
     return groups
 
 
+def _group_values(compiled: CompiledTrace, g0: int, end: int) -> tuple:
+    """The values of the group ``[g0, end)`` for its leading parameters.
+
+    In the order :func:`_emit_group` declares them: ``NXT``, ``RD``,
+    then ``KEY`` and ``TK`` for a group ending in a branch, then one
+    ``A{i}`` address per load or store.
+    """
+    ops = compiled.op
+    values: list = [end, end >= len(ops)]
+    if ops[end - 1] == _OP_BR:
+        # (pos << 1) | tid with pos already past the branch.
+        values += [end << 1, compiled.aux[end - 1] == 1]
+    addrs = compiled.addr
+    values += [addrs[p] for p in range(g0, end)
+               if ops[p] == _OP_LOAD or ops[p] == _OP_STORE]
+    return tuple(values)
+
+
 def _emit_group(compiled: CompiledTrace, g0: int, end: int,
-                consts: KernelConsts) -> tuple[str, tuple]:
+                consts: KernelConsts) -> str:
     """Emit the kernel body for the group ``[g0, end)``.
 
-    Returns ``(body, values)``: the function source with the
-    *group-varying* quantities -- next position, repetition-done flag,
-    memory addresses, branch key and outcome -- lifted into leading
-    parameters (``NXT``, ``RD``, ``A{i}``, ``KEY``, ``TK``), and the
-    tuple of this group's values for them.  Loop-structured traces
-    then produce the same body text for every iteration of a loop, so
-    one compiled code object (the expensive part) serves all of them;
-    per-group functions are instantiated over it by rebinding the
-    parameter defaults (see :func:`compile_factory`).
+    The function source lifts the *group-varying* quantities -- next
+    position, repetition-done flag, memory addresses, branch key and
+    outcome -- into leading parameters (``NXT``, ``RD``, ``A{i}``,
+    ``KEY``, ``TK``; :func:`_group_values` gives a group's values for
+    them), so the body is a function of the group's ``op``, ``dst``,
+    ``s1`` and ``s2`` alone.  Loop-structured traces then produce the
+    same body for every iteration of a loop, so one compiled code
+    object (the expensive part) serves all of them; per-group
+    functions are instantiated over it by rebinding the parameter
+    defaults (see :func:`compile_factory`).
     """
     ops, dsts = compiled.op, compiled.dst
     s1s, s2s = compiled.s1, compiled.s2
-    addrs, auxs = compiled.addr, compiled.aux
-    n = len(ops)
     idx = range(g0, end)
 
     # Group-varying parameters (placeholder defaults are rebound per
     # instantiation; RD is genuinely boolean-varying, so the values
     # tuple, not the body, carries it).
     params = ["NXT=0", "RD=False"]
-    values: list = [end, end >= n]
 
     # Pools and externals this group touches.
     pools: dict[str, int] = {}
@@ -203,8 +219,6 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
     if ops[end - 1] == _OP_BR:
         binds.append("predict")
         params += ["KEY=0", "TK=False"]
-        # (pos << 1) | tid with pos already past the branch.
-        values += [end << 1, auxs[end - 1] == 1]
 
     out: list[str] = []
     w = out.append
@@ -290,7 +304,6 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
             if op == _OP_LOAD or op == _OP_STORE:
                 # Inline hit path (see the module docstring).
                 params.append(f"A{i}=0")
-                values.append(addrs[p])
                 w(f"    pg = A{i} // {consts.tlb_page}")
                 w(f"    ts = tlbs[pg % {consts.tlb_sets}]")
                 w(f"    pg //= {consts.tlb_sets}")
@@ -350,8 +363,7 @@ def _emit_group(compiled: CompiledTrace, g0: int, end: int,
         w(f"    return NXT, {count}, {g}, {ow}, {fu}, -1, RD")
 
     sig = ", ".join(params + [f"{b}=None" for b in binds])
-    return (f"def kernel(now, tid, {sig}):\n" + "\n".join(out) + "\n",
-            tuple(values))
+    return f"def kernel(now, tid, {sig}):\n" + "\n".join(out) + "\n"
 
 
 def generate_factory_source(compiled: CompiledTrace, consts: KernelConsts
@@ -370,14 +382,23 @@ def generate_factory_source(compiled: CompiledTrace, consts: KernelConsts
     if not consts.branch_ends or consts.width < 1 or n == 0:
         return None
     # Loop-structured traces repeat group bodies across iterations:
-    # each distinct body is compiled once.
+    # each distinct body is compiled once.  A body is a function of
+    # the group's op/dst/s1/s2 columns, so text is emitted only for a
+    # column signature not seen before.
+    ops, dsts, s1s, s2s = compiled.op, compiled.dst, compiled.s1, compiled.s2
     bodies: dict[str, int] = {}
+    by_shape: dict[tuple, int] = {}
     groups = []
     for g0, (end, has_prio) in partition_groups(compiled, consts).items():
         if has_prio:
             continue  # reference path: may rebuild the arbiter
-        body, values = _emit_group(compiled, g0, end, consts)
-        groups.append((g0, bodies.setdefault(body, len(bodies)), values))
+        shape = (tuple(ops[g0:end]), tuple(dsts[g0:end]),
+                 tuple(s1s[g0:end]), tuple(s2s[g0:end]))
+        b = by_shape.get(shape)
+        if b is None:
+            body = _emit_group(compiled, g0, end, consts)
+            b = by_shape[shape] = bodies.setdefault(body, len(bodies))
+        groups.append((g0, b, _group_values(compiled, g0, end)))
     return tuple(bodies), tuple(groups), n
 
 

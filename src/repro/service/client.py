@@ -114,20 +114,26 @@ class ServiceClient:
         """Ask the server to drain and shut down gracefully."""
         return self._request("POST", "/drain", {})
 
-    def wait(self, job_id: str, poll: float = 0.1,
-             progress=None) -> dict:
-        """Poll until the job settles; stream per-cell progress.
+    def wait(self, job_id: str, progress=None) -> dict:
+        """Block until the job settles; stream per-cell progress.
 
-        ``progress`` is a callable taking one status line (defaults to
-        writing to stderr, keeping stdout byte-identical to a local
-        run); it fires only when the done/failed counts change.
+        Each ``/wait`` long-poll returns as soon as the done/failed
+        counts move past the ones already seen, or after at most half
+        the socket timeout, so nothing sleeps between requests.
+        Returns the settled job's ``/results`` payload (its status
+        plus the per-cell rows).  ``progress`` is a callable taking one
+        status line (defaults to writing to stderr, keeping stdout
+        byte-identical to a local run); it fires only when the
+        done/failed counts change.
         """
         if progress is None:
             def progress(line: str) -> None:
                 print(line, file=sys.stderr, flush=True)
         seen = (-1, -1)
         while True:
-            status = self.status(job_id)
+            status = self._request(
+                "GET", f"/wait/{job_id}?done={seen[0]}&failed={seen[1]}"
+                       f"&within={self.timeout / 2:g}")
             now = (status["done"], status["failed"])
             if now != seen:
                 seen = now
@@ -138,7 +144,6 @@ class ServiceClient:
                     f"{status['queued']} queued")
             if status["state"] != "running":
                 return status
-            time.sleep(poll)
 
 
 class ServiceBackend:
@@ -148,13 +153,17 @@ class ServiceBackend:
     :class:`~repro.experiments.base.ExperimentContext`; the
     ``compute_cells`` contract matches
     :class:`repro.experiments.parallel.PoolBackend`.
+
+    ``poll`` no longer delays anything: the client learns of each
+    completion by long-poll (:meth:`ServiceClient.wait`).  It is still
+    accepted so callers written against the polling client (which
+    slept ``poll`` seconds between status requests) keep working.
     """
 
     def __init__(self, base_url: str, timeout: float = 60.0,
                  retries: int = 3, poll: float = 0.1) -> None:
         self.client = ServiceClient(base_url, timeout=timeout,
                                     retries=retries)
-        self.poll = poll
         #: Submission summary of the most recent sweep (CLI reporting).
         self.last_submit: dict | None = None
 
@@ -174,8 +183,8 @@ class ServiceBackend:
         submitted = self.client.submit(ctx.spec(), wire)
         self.last_submit = submitted
         job_id = submitted["job"]
-        status = self.client.wait(job_id, poll=self.poll)
-        rows = self.client.results(job_id)["cells"]
+        status = self.client.wait(job_id)
+        rows = status["cells"]
         if status["failed"]:
             errors = [f"  {tuple(row['key'])!r}: {row['error']}"
                       for row in rows if row["state"] == "failed"]

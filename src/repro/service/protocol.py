@@ -44,7 +44,9 @@ import json
 #: v4: configs no longer carry the retired fast-forward engine switch
 #: -- a v3 peer's config would fail to decode instead of meeting the
 #: version check.
-PROTOCOL_VERSION = 4
+#: v5: clients wait for jobs on the ``/wait/<job>`` long-poll, which a
+#: v4 server does not route.
+PROTOCOL_VERSION = 5
 
 
 def encode_cell(key: tuple) -> list:

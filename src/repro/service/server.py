@@ -20,7 +20,10 @@ retries with exponential backoff, worker-crash detection with cell
 requeue (re-checking the simcache first -- a worker killed after its
 committed store but before its report costs nothing), and graceful drain
 on SIGTERM (stop accepting, finish everything in flight, stop workers,
-flush stats).  ``/metrics`` exposes queue depth, in-flight cells,
+flush stats).  Clients learn of completion by long-poll:
+``GET /wait/<job>`` is held until the job settles, its done/failed
+counts move past the ones the client last saw, or a bound passes.
+``/metrics`` exposes queue depth, in-flight cells,
 dedup hit-rate and per-worker throughput; ``/healthz`` is a liveness
 probe; ``POST /inject-crash`` is a fault-injection hook (kills the
 worker of the next dispatched cell) used by the crash-recovery tests
@@ -49,6 +52,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from urllib.parse import parse_qs
 
 from repro.service import protocol
 from repro.service.workers import WorkerPool
@@ -66,6 +70,10 @@ READ_TIMEOUT_S = 10.0
 #: Bound on the request line plus headers, and on the request body.
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Longest a ``/wait`` request is held before it answers with the
+#: job's current status (clients may ask for less with ``within=``).
+WAIT_BOUND_S = 30.0
 
 #: A simcache entry name: the hex SHA-256 of its key.
 _DIGEST_RE = re.compile(r"[0-9a-f]{64}")
@@ -138,6 +146,9 @@ class ServiceServer:
         self._draining = False
         self._drained = asyncio.Event()
         self._wake = asyncio.Event()
+        # Set (and replaced) whenever a cell turns done or failed:
+        # every /wait and drain awaiting it re-checks its condition.
+        self._settle = asyncio.Event()
         self._crash_injections = 0
         self._started = time.monotonic()
         self._tasks: list[asyncio.Task] = []
@@ -166,14 +177,14 @@ class ServiceServer:
         """Graceful shutdown: finish in-flight work, then stop.
 
         New submissions are rejected with 503 the moment draining
-        starts; status/results/metrics stay available throughout so
-        clients of in-flight jobs can still collect.
+        starts; wait/status/results/metrics stay available throughout
+        so clients of in-flight jobs can still collect.
         """
         self._draining = True
         self._wake.set()
         while any(cell.state in (QUEUED, RUNNING)
                   for cell in self._cells.values()):
-            await asyncio.sleep(0.05)
+            await self._settle.wait()
         for task in self._tasks:
             task.cancel()
         for task in self._tasks:
@@ -267,6 +278,7 @@ class ServiceServer:
         if error is None:
             cell.state = DONE
             self._counters["computed"] += 1
+            self._settled()
         else:
             self._retry_or_fail(cell, f"worker error: {error}")
         self._wake.set()
@@ -277,6 +289,7 @@ class ServiceServer:
             cell.state = FAILED
             cell.error = reason
             self._counters["failed"] += 1
+            self._settled()
             return
         cell.retries += 1
         self._counters["retries"] += 1
@@ -296,9 +309,15 @@ class ServiceServer:
         if not SimCache.is_miss(value):
             cell.state = DONE
             self._counters["computed"] += 1
+            self._settled()
         else:
             self._queue.append(digest)
         self._wake.set()
+
+    def _settled(self) -> None:
+        """Wake everything waiting for a cell to turn done or failed."""
+        self._settle.set()
+        self._settle = asyncio.Event()
 
     # -- request handlers -----------------------------------------------
 
@@ -426,6 +445,40 @@ class ServiceServer:
             for d in job.digests]
         return 200, payload
 
+    async def _wait(self, job_id: str, query: str) -> tuple[int, dict]:
+        """Long-poll: hold until the job moves past what the client saw.
+
+        ``done`` and ``failed`` are the counts the client last saw (-1
+        if none, which answers at once); ``within`` shortens the
+        :data:`WAIT_BOUND_S` hold to fit the client's socket timeout.
+        A settled job answers with its ``/results`` payload, otherwise
+        the answer is its status.
+        """
+        job = self._jobs.get(job_id)
+        if job is None:
+            return 404, {"error": f"unknown job {job_id!r}"}
+        args = {name: values[-1] for name, values
+                in parse_qs(query).items()}
+        try:
+            seen = (int(args.get("done", -1)), int(args.get("failed", -1)))
+            bound = min(WAIT_BOUND_S, float(args.get("within", "inf")))
+        except ValueError:
+            return 400, {"error": "wait needs integer done/failed "
+                                  "and a numeric within"}
+        if not bound >= 0:
+            return 400, {"error": "within must be >= 0"}
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + bound
+        while True:
+            status = self._job_status(job)
+            if status["state"] != "running":
+                return self._results(job_id)
+            remaining = deadline - loop.time()
+            if (status["done"], status["failed"]) != seen or remaining <= 0:
+                return 200, status
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._settle.wait(), remaining)
+
     def _metrics(self) -> dict:
         submitted = self._counters["submitted"]
         deduped = self._counters["cached"] + self._counters["coalesced"]
@@ -477,8 +530,9 @@ class ServiceServer:
             return _json(exc.status, {"error": str(exc)})
         return await self._route(*request)
 
-    async def _route(self, method: str, path: str,
+    async def _route(self, method: str, target: str,
                      body: bytes) -> tuple[int, str, bytes]:
+        path, _, query = target.partition("?")
         if method == "GET" and path == "/healthz":
             alive = sum(1 for h in self.pool.workers.values() if h.alive)
             return _json(200, {"ok": True, "workers_alive": alive,
@@ -489,6 +543,8 @@ class ServiceServer:
             return _json(*self._status(path[len("/status/"):]))
         if method == "GET" and path.startswith("/results/"):
             return _json(*self._results(path[len("/results/"):]))
+        if method == "GET" and path.startswith("/wait/"):
+            return _json(*await self._wait(path[len("/wait/"):], query))
         if method == "GET" and path.startswith("/entry/"):
             digest = path[len("/entry/"):]
             if not _DIGEST_RE.fullmatch(digest):

@@ -5,7 +5,8 @@ pairs; the core must uphold its structural invariants on all of them:
 bounded GCT occupancy, monotone accounting, retirement never ahead of
 decode, and clean termination of finite workloads.  Memory-heavy
 two-thread traces over an address pool that aliases on purpose must
-also leave the array and object engines in the same machine state.
+also leave the array and object engines in the same machine state,
+with or without random repetition gates.
 """
 
 import dataclasses
@@ -181,4 +182,64 @@ class TestEnginesAgreeOnAliasingMemoryTraces:
                       priorities=(p0, p1))
             core.step(3000)
             states.append(_machine_state(core))
+        assert states[0] == states[1]
+
+
+# ----------------------------------------------------------------------
+# Array vs object engine under random repetition gates
+# ----------------------------------------------------------------------
+
+#: Per-thread gate rules: ``None`` (always open), a repetition cap
+#: (``rep < k``), the two sibling-progress rules of
+#: ``SoftwarePipeline``'s gate (``lead``: at most ``k`` repetitions
+#: ahead of the sibling, like its producer; ``follow``: only past the
+#: sibling's completed repetitions, like its consumer), or a
+#: ``now >= t`` threshold.
+gate_rules = st.one_of(
+    st.none(),
+    st.tuples(st.just("cap"), st.integers(min_value=0, max_value=6)),
+    st.tuples(st.just("lead"), st.integers(min_value=1, max_value=3)),
+    st.just(("follow", 0)),
+    st.tuples(st.just("after"), st.integers(min_value=0, max_value=3000)))
+
+
+def _rep_gate(rules, threads):
+    """The gate of ``rules``; ``threads`` is filled after ``load``."""
+    def gate(tid, rep, now):
+        rule = rules[tid]
+        if rule is None:
+            return True
+        kind, k = rule
+        if kind == "cap":
+            return rep < k
+        if kind == "after":
+            return now >= k
+        done = threads[1 - tid].completed_repetitions
+        return rep - done < k if kind == "lead" else done > rep
+    return gate
+
+
+class TestEnginesAgreeUnderRandomGates:
+    @given(mem_traces, mem_traces, gate_rules, gate_rules,
+           st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=6),
+           st.sampled_from([(3000,), (700, 1100, 1200)]))
+    @settings(max_examples=40, deadline=None)
+    def test_machine_state_identical(self, t0, t1, r0, r1, p0, p1,
+                                     chunks):
+        """Gate polling in the array loop matches ``SMTCore.step``,
+        whole-run or in chunks that stop mid-wait."""
+        states = []
+        for config in (_CONFIG, _OBJECT_CONFIG):
+            core = make_core(config)
+            threads = []
+            core.load([_source(t0, "a"), _source(t1, "b")],
+                      priorities=(p0, p1),
+                      rep_gate=_rep_gate((r0, r1), threads))
+            threads += (core.thread(0), core.thread(1))
+            for cycles in chunks:
+                core.step(cycles)
+            states.append((_machine_state(core),
+                           tuple((th.completed_repetitions, th.gated)
+                                 for th in threads)))
         assert states[0] == states[1]

@@ -23,6 +23,7 @@ import dataclasses
 import re
 import socket
 import threading
+import time
 
 import pytest
 
@@ -221,6 +222,154 @@ def test_concurrent_overlapping_clients_compute_each_cell_once(tmp_path):
         assert repr(outcomes["b"][key]) == repr(local._cache[key])
 
 
+# -- waiting for jobs (long-poll) ----------------------------------------
+
+
+def _hold_dispatch(handle) -> None:
+    """Keep queued cells queued: the dispatcher sees no idle worker."""
+    handle.server.pool.idle = lambda: []
+
+
+def _release_dispatch(handle) -> None:
+    del handle.server.pool.idle
+    handle._loop.call_soon_threadsafe(handle.server._wake.set)
+
+
+def _spy_requests(client) -> list:
+    """Record the path of every request ``client`` sends."""
+    paths = []
+    real = client._request
+
+    def spy(method, path, *args, **kwargs):
+        paths.append(path)
+        return real(method, path, *args, **kwargs)
+
+    client._request = spy
+    return paths
+
+
+def test_backend_waits_without_status_polls(tmp_path, monkeypatch):
+    """compute_cells learns of completion from /wait alone and takes
+    the cell rows from its settled answer."""
+    def refuse(self, job_id):
+        raise AssertionError("compute_cells asked /status or /results")
+
+    monkeypatch.setattr(ServiceClient, "status", refuse)
+    monkeypatch.setattr(ServiceClient, "results", refuse)
+    keys = [single_cell(bench) for bench in BENCHES]
+    handle = _server(tmp_path)
+    try:
+        backend = ServiceBackend(handle.url)
+        values = dict(backend.compute_cells(_ctx(), keys))
+        settled = backend.client.wait(backend.last_submit["job"],
+                                      progress=lambda line: None)
+    finally:
+        handle.stop()
+    local = _ctx()
+    local.prefetch(keys)
+    for key in keys:
+        assert repr(values[key]) == repr(local._cache[key])
+    assert settled["state"] == "done"
+    assert [decode_cell(row["key"]) for row in settled["cells"]] == keys
+    assert ([row["digest"] for row in settled["cells"]]
+            == backend.last_submit["digests"])
+    assert {row["state"] for row in settled["cells"]} == {"done"}
+
+
+def test_wait_answers_running_when_its_bound_passes(tmp_path, monkeypatch):
+    """A held /wait answers with the running status once its bound
+    passes, and a client whose socket timeout is far below the
+    server's bound re-issues it instead of timing out."""
+    monkeypatch.setattr(server, "WAIT_BOUND_S", 0.2)
+    handle = _server(tmp_path, workers=1)
+    try:
+        _hold_dispatch(handle)
+        client = ServiceClient(handle.url)
+        job = client.submit(_ctx().spec(),
+                            [encode_cell(single_cell("cpu_int"))])["job"]
+        start = time.monotonic()
+        held = client._request("GET", f"/wait/{job}?done=0&failed=0")
+        assert time.monotonic() - start >= 0.2
+        assert held["state"] == "running" and held["queued"] == 1
+        assert "cells" not in held
+        with pytest.raises(ServiceError, match="400"):
+            client._request("GET", f"/wait/{job}?done=x")
+
+        monkeypatch.setattr(server, "WAIT_BOUND_S", 60.0)
+        short = ServiceClient(handle.url, timeout=0.4, retries=0)
+        paths = _spy_requests(short)
+        threading.Timer(1.0, _release_dispatch, (handle,)).start()
+        settled = short.wait(job, progress=lambda line: None)
+        assert settled["state"] == "done"
+        assert len(paths) >= 4  # re-issued every 0.2 s while held
+        assert all(path.endswith("within=0.2") for path in paths)
+    finally:
+        handle.stop()
+
+
+def test_wait_returns_on_each_count_change(tmp_path, monkeypatch):
+    """With the bound far away, every /wait but the first returns
+    because a cell settled; the client re-issues it with the counts it
+    has seen and streams one progress line per change."""
+    handle = _server(tmp_path, workers=1)
+    try:
+        client = ServiceClient(handle.url, timeout=120.0)
+        paths = _spy_requests(client)
+        job = client.submit(_ctx().spec(),
+                            [encode_cell(single_cell(bench))
+                             for bench in BENCHES])["job"]
+        lines = []
+        start = time.monotonic()
+        settled = client.wait(job, progress=lines.append)
+        assert time.monotonic() - start < 20.0  # never hit the bound
+    finally:
+        handle.stop()
+    waits = [path for path in paths if path.startswith("/wait/")]
+    assert len(waits) == len(lines)
+    seen = [re.search(r"done=(-?\d+)&failed=(-?\d+)", path).groups()
+            for path in waits]
+    assert seen[0] == ("-1", "-1")
+    done = [int(line.split(": ")[1].split("/")[0]) for line in lines]
+    assert done == sorted(set(done)) and done[-1] == 2
+    assert [int(d) for d, _ in seen[1:]] == done[:-1]
+    assert settled["state"] == "done" and len(settled["cells"]) == 2
+
+
+def test_drain_releases_pending_waiter_with_settled_payload(tmp_path):
+    """Drain waits on the same settle notification as /wait, serves
+    /wait while draining, and the waiter gets the /results payload."""
+    handle = _server(tmp_path, workers=1)
+    try:
+        _hold_dispatch(handle)
+        client = ServiceClient(handle.url)
+        job = client.submit(_ctx().spec(),
+                            [encode_cell(single_cell("cpu_int"))])["job"]
+        first = threading.Event()
+        outcome = {}
+
+        def waiter():
+            try:
+                outcome["settled"] = client.wait(
+                    job, progress=lambda line: first.set())
+            except Exception as exc:  # surfaced by the main thread
+                outcome["settled"] = exc
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        assert first.wait(30)
+        client.drain()
+        assert client.healthz()["draining"] is True
+        _release_dispatch(handle)
+        thread.join(timeout=120)
+        settled = outcome["settled"]
+        assert not isinstance(settled, Exception), settled
+        assert settled["state"] == "done"
+        assert [row["state"] for row in settled["cells"]] == ["done"]
+    finally:
+        handle.stop()
+    assert handle.server._drained.is_set()
+
+
 # -- robustness ---------------------------------------------------------
 
 
@@ -264,6 +413,12 @@ def test_handshake_mismatch_refused_with_409(tmp_path, monkeypatch):
         old["cells"] = [encode_cell(single_cell("cpu_int"))]
         with pytest.raises(ServiceError, match="409.*protocol version"):
             client._request("POST", "/submit", old)
+        # A v4 client does not know /wait; the handshake refuses it.
+        v4 = dict(protocol.handshake(), protocol=4)
+        v4["spec"] = _ctx().spec()
+        v4["cells"] = [encode_cell(single_cell("cpu_int"))]
+        with pytest.raises(ServiceError, match="409.*protocol version"):
+            client._request("POST", "/submit", v4)
     finally:
         handle.stop()
 
@@ -376,10 +531,11 @@ def _raw_request(handle, data: bytes) -> int:
     (b"GET /entry/../outside HTTP/1.1\r\n\r\n", 400),
     (b"GET /entry/" + b"A" * 64 + b" HTTP/1.1\r\n\r\n", 400),
     (b"GET /entry/" + b"0" * 64 + b" HTTP/1.1\r\n\r\n", 404),
+    (b"GET /wait/j999 HTTP/1.1\r\n\r\n", 404),
 ], ids=["negative-length", "non-integer-length", "long-header-line",
         "header-section", "huge-length", "bad-request-line",
         "bad-digest", "traversal-digest", "uppercase-digest",
-        "unknown-digest"])
+        "unknown-digest", "unknown-wait-job"])
 def test_malformed_and_oversized_requests_answered(raw_server,
                                                    request_bytes, status):
     """Hostile requests get a status code, never a dropped connection
