@@ -81,11 +81,11 @@ def compiled_trace(instructions: tuple) -> CompiledTrace:
 #
 # One step past the flat arrays: repro.isa.kernelgen compiles a trace
 # to straightline Python, one function per decode-group start, with
-# the relevant configuration constants baked in as literals.  The
-# compile() of the generated module is the expensive part (about ten
-# milliseconds for the largest trace), so factories are cached process-
-# wide keyed by (instruction tuple, baked constants); a None entry
-# records that the trace is not kernelizable under those constants.
+# the relevant configuration constants baked in as literals.  Emitting
+# and compiling the distinct group bodies, one small module each, is
+# the expensive part, so factories are cached process-wide keyed by
+# (instruction tuple, baked constants); a None entry records that the
+# trace is not kernelizable under those constants.
 
 _FACTORIES: dict[tuple, object] = {}
 

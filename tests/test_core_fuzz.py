@@ -6,7 +6,8 @@ bounded GCT occupancy, monotone accounting, retirement never ahead of
 decode, and clean termination of finite workloads.  Memory-heavy
 two-thread traces over an address pool that aliases on purpose must
 also leave the array and object engines in the same machine state,
-with or without random repetition gates.
+with or without random repetition gates, as must traces whose decode
+groups re-touch lines and mix same-set tags.
 """
 
 import dataclasses
@@ -175,6 +176,53 @@ class TestEnginesAgreeOnAliasingMemoryTraces:
         """
         if lockstep:
             t1 = t0
+        states = []
+        for config in (_CONFIG, _OBJECT_CONFIG):
+            core = make_core(config)
+            core.load([_source(t0, "a"), _source(t1, "b")],
+                      priorities=(p0, p1))
+            core.step(3000)
+            states.append(_machine_state(core))
+        assert states[0] == states[1]
+
+
+def _mixed_pool(config):
+    """Addresses that re-touch, conflict with and miss past each other.
+
+    More L1D set-0 tags than ways (the first also shares its line with
+    a second address), more TLB set-0 pages than ways, and lines in
+    other L1D and TLB sets.  Within one decode group a memory op then
+    often re-touches a line an earlier op of the group touched, with
+    or without a same-set, other-tag op in between.
+    """
+    l1d, tlb = config.l1d, config.tlb
+    line = l1d.line_bytes
+    l1_span = l1d.num_sets * line
+    tlb_span = tlb.entries // tlb.associativity * tlb.page_bytes
+    same_set = [k * l1_span for k in range(l1d.associativity + 1)]
+    same_tlb_set = [k * tlb_span for k in range(1, tlb.associativity + 1)]
+    other_sets = [line, 3 * line + l1_span, tlb.page_bytes + 2 * line]
+    same_lines = [8, line + 64, l1_span + 16]
+    return same_set + same_tlb_set + other_sets + same_lines
+
+
+mixed_traces = st.lists(st.builds(
+    _mem_instruction,
+    st.sampled_from([OpClass.LOAD, OpClass.LOAD, OpClass.STORE,
+                     OpClass.FX, OpClass.BRANCH]),
+    regs, maybe_reg, st.sampled_from(_mixed_pool(_CONFIG)),
+    st.booleans()),
+    min_size=1, max_size=40)
+
+
+class TestEnginesAgreeOnMixedMemoryTraces:
+    @given(mixed_traces, mixed_traces, st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=6))
+    @settings(max_examples=40, deadline=None)
+    def test_machine_state_identical(self, t0, t1, p0, p1):
+        """Groups that re-touch lines, mix same-set tags and claim
+        units with and without ready operands leave both engines in
+        the same machine state."""
         states = []
         for config in (_CONFIG, _OBJECT_CONFIG):
             core = make_core(config)

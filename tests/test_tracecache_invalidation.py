@@ -8,13 +8,18 @@ the current code, no matter how the rest of the key matches.
 
 from __future__ import annotations
 
+import cProfile
 import dataclasses
+import pstats
 
 import pytest
 
 from repro.core import make_core
 from repro.isa import FixedTraceSource, Trace
+from repro.isa.compiled import compile_trace
+from repro.isa.kernelgen import generate_factory_source
 from repro.workloads import tracecache
+from repro.workloads.pipeline import SoftwarePipeline
 from repro.workloads.tracecache import (
     SCHEMA_VERSION,
     cache_info,
@@ -122,7 +127,8 @@ GEOMETRIES = {
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 def test_factory_keyed_by_cache_geometry(config, geometry):
     """Configs differing only in L1D or TLB geometry never share a
-    kernel factory (the kernels bake set divisors in), and each runs
+    kernel factory (its group table bakes set indices and tags in),
+    and each runs
     the same trace bit-identically to the object engine."""
     trace = tuple(cached_workload("ldint_l1", config).repetition(0))
     factories = []
@@ -140,6 +146,25 @@ def test_factory_keyed_by_cache_geometry(config, geometry):
         assert states[0] == states[1]
     assert factories[0] is not factories[1]
     assert cache_info()["factory_entries"] == 2
+
+
+def test_kernel_bodies_profile_apart(config):
+    """Each compiled kernel body has its own code label, so a cProfile
+    run of one pipeline keeps one entry per body of both factories."""
+    pipe = SoftwarePipeline(config=config)
+    prof = cProfile.Profile()
+    prof.runcall(pipe.run, (4, 4), iterations=3, warmup=1)
+    entries = {key for key in pstats.Stats(prof).stats
+               if key[0].startswith("<trace-kernel ")
+               and key[2] == "kernel"}
+    consts = _consts(config)
+    labels = set()
+    for source in (pipe.producer, pipe.consumer):
+        bodies, _groups, _n = generate_factory_source(
+            compile_trace(tuple(source.repetition(0))), consts)
+        labels |= {label for label, _body in bodies}
+    assert {file for file, _line, _name in entries} == labels
+    assert len(entries) == len(labels) > 2
 
 
 def test_worker_handshake_rejects_version_mismatch(config):
