@@ -43,6 +43,12 @@ class BimodalBHT:
         self.thread_predictions = [0, 0]
         self.thread_mispredictions = [0, 0]
 
+    def state(self) -> tuple:
+        """Counter table and statistics."""
+        return (bytes(self._table), self.predictions, self.mispredictions,
+                tuple(self.thread_predictions),
+                tuple(self.thread_mispredictions))
+
     def _index(self, pc: int) -> int:
         if self._mask is not None:
             return pc & self._mask

@@ -13,12 +13,12 @@ call.  Three layers of cost disappear relative to the object engine:
   operand scans) -- a kernel runs ~3 bytecodes per simulated slot;
 - the per-group ``_decode_slot`` call and its ~25-local prologue;
 - the per-cycle attribute traffic on hot counters -- the step loop
-  keeps the per-thread dispatch/retire counters (owned slots, GCT
-  held, retired, decoded, wait accumulators) in *locals* and syncs
-  them to the thread objects only at the rare boundaries where
-  something else can observe them: before a balancer flush, a
-  monitoring-window update, a periodic hook, a reference-path decode,
-  and on return from ``step``.
+  keeps the per-thread counters declared once as
+  :data:`repro.core.thread.HOT_COUNTERS` in *locals*.  It spills them
+  to the thread (one ``spill_hot`` tuple store) only where something
+  else can observe them -- before a reference-path decode, a balancer
+  flush and the periodic hooks, and on return from ``step`` -- and
+  reloads them with one ``_fill`` after each of those.
 
 Exactness is structural, not approximate: a kernel performs exactly
 the scoreboard reads, unit-pool claims and counter increments the
@@ -37,19 +37,15 @@ exactly where the object engine does.  Only instrumented runs
 object engine remains the differential reference;
 ``tests/test_array_engine_differential`` asserts bit-identity across
 the full microbenchmark x priority matrix and the pipelines.
-
-Kernel binding: a kernel list is instantiated per (thread, trace,
-group width) by the process-wide factory cache in
-:mod:`repro.workloads.tracecache`.  Sources that return the same
-repetition object every time (all built-in workloads) rebind by
-identity -- no per-repetition hashing.
+Kernel lists come from the process-wide factory cache in
+:mod:`repro.workloads.tracecache` (see :class:`ArrayThread`).
 """
 
 from __future__ import annotations
 
 from repro.config import CoreConfig
 from repro.core.smt_core import SMTCore
-from repro.core.thread import HardwareThread
+from repro.core.thread import HOT_COUNTERS, HardwareThread, fill_hot, spill_hot
 from repro.isa.compiled import SCOREBOARD_SLOTS
 from repro.isa.kernelgen import KernelConsts
 from repro.isa.trace import TraceSource
@@ -59,6 +55,14 @@ from repro.priority.levels import PrivilegeLevel
 #: ``ArrayThread.kernels`` value meaning "not bound yet" (None means
 #: "bound, but the trace is not kernelizable: use the reference path").
 _UNBOUND = object()
+
+#: "No completion pending" for the step loop's next-completion locals.
+_BIG = 1 << 62
+
+#: ``ArraySMTCore._fill`` of an empty context: zero counters, not
+#: stalled or throttled, nothing to decode or retire, no kernels.
+_EMPTY = (0,) * len(HOT_COUNTERS) + (False, False, 0, 0, False, _BIG, None)
+
 
 #: Memoised accessor for the process-wide kernel-factory cache.  Bound
 #: lazily: ``repro.workloads`` imports ``repro.core`` at module scope,
@@ -107,42 +111,16 @@ class ArrayThread(HardwareThread):
         self.kernels = _UNBOUND
         self._kern_width = -1
 
-    def advance_repetition(self) -> None:
-        self.rep_index += 1
-        try:
-            nxt = self.source.repetition(self.rep_index)
-        except StopIteration:
-            nxt = ()
-        if nxt is not None and nxt is self._rep_obj:
+    def _install(self, repetition) -> None:
+        if repetition is not None and repetition is self._rep_obj:
             # Same repetition object as the bound trace: reuse the
             # trace list and the compiled kernels untouched (the
             # engine never mutates a trace).
             self.trace = self._bound_trace
-            self.pos = 0
             return
-        trace = list(nxt)
-        if not trace:
-            self.finished = True
-            self.trace = []
-            self._rep_obj = None
-        else:
-            self.trace = trace
-            self._rep_obj = nxt
-        self.pos = 0
+        self.trace = list(repetition)
+        self._rep_obj = repetition if self.trace else None
         self._bind()
-
-    def rewind(self, rep_index: int, pos: int) -> None:
-        if rep_index != self.rep_index:
-            self.rep_index = rep_index
-            nxt = self.source.repetition(rep_index)
-            if nxt is not None and nxt is self._rep_obj:
-                self.trace = self._bound_trace
-            else:
-                self.trace = list(nxt)
-                self._rep_obj = nxt
-                self._bind()
-            self.finished = False
-        self.pos = pos
 
 
 class ArraySMTCore(SMTCore):
@@ -229,12 +207,12 @@ class ArraySMTCore(SMTCore):
         return kernels
 
     def _array_locals(self):
-        """Hot-loop locals: decode width and dispatch table.
-
-        The table maps ``cycle % len(table)`` to the owning thread id
-        (or None) -- every arbiter mode's owner pattern is periodic
-        with the period used here, which ``owner()`` itself guarantees
-        since the table is built by evaluating it.
+        """Arbiter-derived hot-loop locals: the arbiter, priorities,
+        decode width and dispatch table (its length, whether constant,
+        first owner).  The table maps ``cycle % len(table)`` to the
+        owning thread id (or None) -- every arbiter mode's owner pattern
+        is periodic with the period used here, which ``owner()`` itself
+        guarantees since the table is built by evaluating it.
         """
         arb = self._arbiter
         mode = arb.mode
@@ -256,7 +234,23 @@ class ArraySMTCore(SMTCore):
             tab = [owner(c) for c in range(period)]
             self._dispatch_tab = tab
             self._dispatch_arb = arb
-        return width, tab, len(tab)
+        prio_p, prio_s = self.priorities
+        return (arb, prio_p, prio_s, width, tab, len(tab), len(tab) == 1,
+                tab[0])
+
+    def _fill(self, th: ArrayThread | None, width: int) -> tuple:
+        """Step-loop locals of ``th`` (``_EMPTY`` for no context): the
+        ``HOT_COUNTERS``, balancer stall and throttle flags, repetition
+        index, trace length, whether it can decode, next completion and
+        kernels at ``width``.  Every sync in :meth:`step` reloads here.
+        """
+        if th is None:
+            return _EMPTY
+        q = th.inflight
+        return fill_hot(th) + (
+            th.balancer_stalled, th.throttled, th.rep_index, len(th.trace),
+            not th.finished, q[0][0] if q else _BIG,
+            self._live_kernels(th, width))
 
     def step(self, cycles: int) -> int:  # noqa: C901 (the hot loop)
         """Simulate ``cycles`` cycles; returns cycles actually run."""
@@ -267,7 +261,6 @@ class ArraySMTCore(SMTCore):
             # job.
             return super().step(cycles)
         cfg = self.config
-        arbiter = self._arbiter
         t0, t1 = self._threads
         retire_budget = cfg.retire_groups_per_cycle
 
@@ -285,7 +278,6 @@ class ArraySMTCore(SMTCore):
         flush_thr = bal_cfg.gct_flush_threshold
         horizon = bal.FLUSH_HORIZON
 
-        prio_p, prio_s = self.priorities
         gct_groups = cfg.gct_groups
         bal_on = bal_enabled and t0 is not None and t1 is not None
         misp_pen = cfg.branch.mispredict_penalty
@@ -294,69 +286,26 @@ class ArraySMTCore(SMTCore):
         #                                  unkernelizable traces)
         gate_on = self._rep_gate is not None
         gate_open = self._gate_open
-        BIG = 1 << 62
+        fill = self._fill
+        BIG = _BIG
 
-        dec_width, tab, tab_len = self._array_locals()
-        one = tab_len == 1
-        tid0 = tab[0]
-        kern0 = self._live_kernels(t0, dec_width)
-        kern1 = self._live_kernels(t1, dec_width)
+        (arbiter, prio_p, prio_s, dec_width, tab, tab_len, one,
+         tid0) = self._array_locals()
 
-        # Hot per-thread state lives in locals; the thread objects are
-        # synced before anything that can observe them runs (reference
-        # decode, flush, window update, hooks) and on return.
-        # ``balancer_stalled`` is written through on change
-        # (transitions are rare) so the attribute is never stale;
-        # ``throttled`` is only ever written by the window update and
-        # hooks, so the local is reloaded there.
-        if t0 is not None:
-            q0 = t0.inflight
-            ends0, rets0 = t0.rep_end_times, t0.rep_end_retired
-            rst0 = t0.rep_start_times
-            own0, gh0, ret0 = t0.owned_slots, t0.gct_held, t0.retired
-            dec0, grp0 = t0.decoded, t0.groups_dispatched
-            opw0, fuw0 = t0.operand_wait_cycles, t0.fu_wait_cycles
-            ws0, lg0 = t0.wasted_slots, t0.slots_lost_gct
-            ls0, lb0 = t0.slots_lost_stall, t0.slots_lost_balancer
-            lt0, mis0 = t0.slots_lost_throttle, t0.mispredicts
-            su0, pos0 = t0.stall_until, t0.pos
-            bst0, thr0 = t0.balancer_stalled, t0.throttled
-            rep0, n0 = t0.rep_index, len(t0.trace)
-            avail0 = not t0.finished
-            nc0 = q0[0][0] if q0 else BIG
-        else:
-            q0 = None
-            ends0 = rets0 = rst0 = None
-            own0 = gh0 = ret0 = dec0 = grp0 = opw0 = fuw0 = 0
-            ws0 = lg0 = ls0 = lb0 = lt0 = mis0 = 0
-            su0 = pos0 = rep0 = n0 = 0
-            bst0 = thr0 = False
-            avail0 = False
-            nc0 = BIG
-        if t1 is not None:
-            q1 = t1.inflight
-            ends1, rets1 = t1.rep_end_times, t1.rep_end_retired
-            rst1 = t1.rep_start_times
-            own1, gh1, ret1 = t1.owned_slots, t1.gct_held, t1.retired
-            dec1, grp1 = t1.decoded, t1.groups_dispatched
-            opw1, fuw1 = t1.operand_wait_cycles, t1.fu_wait_cycles
-            ws1, lg1 = t1.wasted_slots, t1.slots_lost_gct
-            ls1, lb1 = t1.slots_lost_stall, t1.slots_lost_balancer
-            lt1, mis1 = t1.slots_lost_throttle, t1.mispredicts
-            su1, pos1 = t1.stall_until, t1.pos
-            bst1, thr1 = t1.balancer_stalled, t1.throttled
-            rep1, n1 = t1.rep_index, len(t1.trace)
-            avail1 = not t1.finished
-            nc1 = q1[0][0] if q1 else BIG
-        else:
-            q1 = None
-            ends1 = rets1 = rst1 = None
-            own1 = gh1 = ret1 = dec1 = grp1 = opw1 = fuw1 = 0
-            ws1 = lg1 = ls1 = lb1 = lt1 = mis1 = 0
-            su1 = pos1 = rep1 = n1 = 0
-            bst1 = thr1 = False
-            avail1 = False
-            nc1 = BIG
+        # Hot per-thread state lives in locals (in ``_fill`` order).  A
+        # sync is one ``spill_hot`` before anything that can observe a
+        # thread runs (reference decode, flush, hooks) and one ``fill``
+        # after, plus a spill on return.  ``balancer_stalled`` is written
+        # through on change and ``throttled`` only by the window update
+        # (which returns it), so neither attribute is ever stale.
+        q0 = None if t0 is None else t0.inflight
+        q1 = None if t1 is None else t1.inflight
+        (own0, gh0, ret0, dec0, grp0, opw0, fuw0, ws0, lg0, ls0, lb0, lt0,
+         mis0, su0, pos0, bst0, thr0, rep0, n0, avail0, nc0,
+         kern0) = fill(t0, dec_width)
+        (own1, gh1, ret1, dec1, grp1, opw1, fuw1, ws1, lg1, ls1, lb1, lt1,
+         mis1, su1, pos1, bst1, thr1, rep1, n1, avail1, nc1,
+         kern1) = fill(t1, dec_width)
         gct_used = self._gct_used
 
         now = self._cycle
@@ -425,8 +374,8 @@ class ArraySMTCore(SMTCore):
                             if mc >= 0:
                                 mis0 += 1
                                 su0 = mc + misp_pen
-                            if p == 0 and len(rst0) == rep0:
-                                rst0.append(now)
+                            if p == 0 and len(t0.rep_start_times) == rep0:
+                                t0.rep_start_times.append(now)
                             q0.append((gcomp, cnt, rd, p, rep0))
                             if nc0 == BIG:
                                 nc0 = gcomp
@@ -446,50 +395,19 @@ class ArraySMTCore(SMTCore):
                         else:
                             # Reference path: prio group, unkernelized
                             # trace, or the defensive pos-overrun case.
-                            t0.owned_slots = own0
-                            t0.gct_held = gh0
-                            t0.retired = ret0
-                            t0.decoded = dec0
-                            t0.groups_dispatched = grp0
-                            t0.operand_wait_cycles = opw0
-                            t0.fu_wait_cycles = fuw0
-                            t0.wasted_slots = ws0
-                            t0.slots_lost_gct = lg0
-                            t0.slots_lost_stall = ls0
-                            t0.slots_lost_balancer = lb0
-                            t0.slots_lost_throttle = lt0
-                            t0.mispredicts = mis0
-                            t0.stall_until = su0
-                            t0.pos = pos0
+                            spill_hot(t0, (own0, gh0, ret0, dec0, grp0, opw0,
+                                           fuw0, ws0, lg0, ls0, lb0, lt0, mis0,
+                                           su0, pos0))
                             self._gct_used = gct_used
                             decode_slot(t0, 0, now, dec_width)
-                            own0 = t0.owned_slots
-                            gh0 = t0.gct_held
-                            dec0 = t0.decoded
-                            grp0 = t0.groups_dispatched
-                            opw0 = t0.operand_wait_cycles
-                            fuw0 = t0.fu_wait_cycles
-                            ws0 = t0.wasted_slots
-                            lg0 = t0.slots_lost_gct
-                            ls0 = t0.slots_lost_stall
-                            lb0 = t0.slots_lost_balancer
-                            lt0 = t0.slots_lost_throttle
-                            mis0 = t0.mispredicts
-                            su0 = t0.stall_until
-                            pos0 = t0.pos
                             gct_used = self._gct_used
-                            rep0 = t0.rep_index
-                            n0 = len(t0.trace)
-                            avail0 = not t0.finished
-                            nc0 = q0[0][0] if q0 else BIG
                             if arbiter is not self._arbiter:
-                                arbiter = self._arbiter
-                                prio_p, prio_s = self.priorities
-                                dec_width, tab, tab_len = self._array_locals()
-                                one = tab_len == 1
-                                tid0 = tab[0]
+                                (arbiter, prio_p, prio_s, dec_width, tab,
+                                 tab_len, one, tid0) = self._array_locals()
                                 kern1 = self._live_kernels(t1, dec_width)
-                            kern0 = self._live_kernels(t0, dec_width)
+                            (own0, gh0, ret0, dec0, grp0, opw0, fuw0, ws0, lg0,
+                             ls0, lb0, lt0, mis0, su0, pos0, bst0, thr0, rep0,
+                             n0, avail0, nc0, kern0) = fill(t0, dec_width)
                 elif dec == 1:
                     own1 += 1
                     if su1 > now:
@@ -514,8 +432,8 @@ class ArraySMTCore(SMTCore):
                             if mc >= 0:
                                 mis1 += 1
                                 su1 = mc + misp_pen
-                            if p == 0 and len(rst1) == rep1:
-                                rst1.append(now)
+                            if p == 0 and len(t1.rep_start_times) == rep1:
+                                t1.rep_start_times.append(now)
                             q1.append((gcomp, cnt, rd, p, rep1))
                             if nc1 == BIG:
                                 nc1 = gcomp
@@ -533,50 +451,19 @@ class ArraySMTCore(SMTCore):
                                 avail1 = not t1.finished
                                 kern1 = self._live_kernels(t1, dec_width)
                         else:
-                            t1.owned_slots = own1
-                            t1.gct_held = gh1
-                            t1.retired = ret1
-                            t1.decoded = dec1
-                            t1.groups_dispatched = grp1
-                            t1.operand_wait_cycles = opw1
-                            t1.fu_wait_cycles = fuw1
-                            t1.wasted_slots = ws1
-                            t1.slots_lost_gct = lg1
-                            t1.slots_lost_stall = ls1
-                            t1.slots_lost_balancer = lb1
-                            t1.slots_lost_throttle = lt1
-                            t1.mispredicts = mis1
-                            t1.stall_until = su1
-                            t1.pos = pos1
+                            spill_hot(t1, (own1, gh1, ret1, dec1, grp1, opw1,
+                                           fuw1, ws1, lg1, ls1, lb1, lt1, mis1,
+                                           su1, pos1))
                             self._gct_used = gct_used
                             decode_slot(t1, 1, now, dec_width)
-                            own1 = t1.owned_slots
-                            gh1 = t1.gct_held
-                            dec1 = t1.decoded
-                            grp1 = t1.groups_dispatched
-                            opw1 = t1.operand_wait_cycles
-                            fuw1 = t1.fu_wait_cycles
-                            ws1 = t1.wasted_slots
-                            lg1 = t1.slots_lost_gct
-                            ls1 = t1.slots_lost_stall
-                            lb1 = t1.slots_lost_balancer
-                            lt1 = t1.slots_lost_throttle
-                            mis1 = t1.mispredicts
-                            su1 = t1.stall_until
-                            pos1 = t1.pos
                             gct_used = self._gct_used
-                            rep1 = t1.rep_index
-                            n1 = len(t1.trace)
-                            avail1 = not t1.finished
-                            nc1 = q1[0][0] if q1 else BIG
                             if arbiter is not self._arbiter:
-                                arbiter = self._arbiter
-                                prio_p, prio_s = self.priorities
-                                dec_width, tab, tab_len = self._array_locals()
-                                one = tab_len == 1
-                                tid0 = tab[0]
+                                (arbiter, prio_p, prio_s, dec_width, tab,
+                                 tab_len, one, tid0) = self._array_locals()
                                 kern0 = self._live_kernels(t0, dec_width)
-                            kern1 = self._live_kernels(t1, dec_width)
+                            (own1, gh1, ret1, dec1, grp1, opw1, fuw1, ws1, lg1,
+                             ls1, lb1, lt1, mis1, su1, pos1, bst1, thr1, rep1,
+                             n1, avail1, nc1, kern1) = fill(t1, dec_width)
 
             # -- retire (in order, one group per thread per cycle) -----
             if nc0 <= now:
@@ -587,8 +474,8 @@ class ArraySMTCore(SMTCore):
                     gh0 -= 1
                     gct_used -= 1
                     if g[2]:
-                        ends0.append(now)
-                        rets0.append(ret0)
+                        t0.rep_end_times.append(now)
+                        t0.rep_end_retired.append(ret0)
                     budget -= 1
                     if q0:
                         nc0 = q0[0][0]
@@ -605,8 +492,8 @@ class ArraySMTCore(SMTCore):
                     gh1 -= 1
                     gct_used -= 1
                     if g[2]:
-                        ends1.append(now)
-                        rets1.append(ret1)
+                        t1.rep_end_times.append(now)
+                        t1.rep_end_retired.append(ret1)
                     budget -= 1
                     if q1:
                         nc1 = q1[0][0]
@@ -637,20 +524,15 @@ class ArraySMTCore(SMTCore):
                             and gct_used >= gct_floor
                             and gh0 >= flush_thr
                             and nc0 > now + horizon):
-                        t0.gct_held = gh0
-                        t0.decoded = dec0
+                        spill_hot(t0, (own0, gh0, ret0, dec0, grp0, opw0, fuw0,
+                                       ws0, lg0, ls0, lb0, lt0, mis0, su0,
+                                       pos0))
                         self._gct_used = gct_used
                         self._flush(t0, now)
-                        gh0 = t0.gct_held
-                        dec0 = t0.decoded
                         gct_used = self._gct_used
-                        su0 = t0.stall_until
-                        pos0 = t0.pos
-                        rep0 = t0.rep_index
-                        n0 = len(t0.trace)
-                        avail0 = not t0.finished
-                        kern0 = self._live_kernels(t0, dec_width)
-                        nc0 = q0[0][0] if q0 else BIG
+                        (own0, gh0, ret0, dec0, grp0, opw0, fuw0, ws0, lg0,
+                         ls0, lb0, lt0, mis0, su0, pos0, bst0, thr0, rep0, n0,
+                         avail0, nc0, kern0) = fill(t0, dec_width)
                 if not avail0:
                     if bst1:
                         bst1 = t1.balancer_stalled = False
@@ -669,28 +551,20 @@ class ArraySMTCore(SMTCore):
                             and gct_used >= gct_floor
                             and gh1 >= flush_thr
                             and nc1 > now + horizon):
-                        t1.gct_held = gh1
-                        t1.decoded = dec1
+                        spill_hot(t1, (own1, gh1, ret1, dec1, grp1, opw1, fuw1,
+                                       ws1, lg1, ls1, lb1, lt1, mis1, su1,
+                                       pos1))
                         self._gct_used = gct_used
                         self._flush(t1, now)
-                        gh1 = t1.gct_held
-                        dec1 = t1.decoded
                         gct_used = self._gct_used
-                        su1 = t1.stall_until
-                        pos1 = t1.pos
-                        rep1 = t1.rep_index
-                        n1 = len(t1.trace)
-                        avail1 = not t1.finished
-                        kern1 = self._live_kernels(t1, dec_width)
-                        nc1 = q1[0][0] if q1 else BIG
+                        (own1, gh1, ret1, dec1, grp1, opw1, fuw1, ws1, lg1,
+                         ls1, lb1, lt1, mis1, su1, pos1, bst1, thr1, rep1, n1,
+                         avail1, nc1, kern1) = fill(t1, dec_width)
 
                 if slow and now >= bal.next_window:
                     bal.next_window = now + window
-                    t0.retired = ret0
-                    t1.retired = ret1
-                    self._window_update(t0, t1, prio_p, prio_s)
-                    thr0 = t0.throttled
-                    thr1 = t1.throttled
+                    thr0, thr1 = self._window_update(
+                        t0, t1, prio_p, prio_s, ret0, ret1)
 
             # -- periodic hooks ----------------------------------------
             if slow and 0 <= self._next_hook <= now:
@@ -699,82 +573,27 @@ class ArraySMTCore(SMTCore):
                 # reload after -- a hook may retune priorities or read
                 # any thread counter.
                 if t0 is not None:
-                    t0.owned_slots = own0
-                    t0.gct_held = gh0
-                    t0.retired = ret0
-                    t0.decoded = dec0
-                    t0.groups_dispatched = grp0
-                    t0.operand_wait_cycles = opw0
-                    t0.fu_wait_cycles = fuw0
-                    t0.wasted_slots = ws0
-                    t0.slots_lost_gct = lg0
-                    t0.slots_lost_stall = ls0
-                    t0.slots_lost_balancer = lb0
-                    t0.slots_lost_throttle = lt0
-                    t0.mispredicts = mis0
-                    t0.stall_until = su0
-                    t0.pos = pos0
+                    spill_hot(t0, (own0, gh0, ret0, dec0, grp0, opw0, fuw0,
+                                   ws0, lg0, ls0, lb0, lt0, mis0, su0, pos0))
                 if t1 is not None:
-                    t1.owned_slots = own1
-                    t1.gct_held = gh1
-                    t1.retired = ret1
-                    t1.decoded = dec1
-                    t1.groups_dispatched = grp1
-                    t1.operand_wait_cycles = opw1
-                    t1.fu_wait_cycles = fuw1
-                    t1.wasted_slots = ws1
-                    t1.slots_lost_gct = lg1
-                    t1.slots_lost_stall = ls1
-                    t1.slots_lost_balancer = lb1
-                    t1.slots_lost_throttle = lt1
-                    t1.mispredicts = mis1
-                    t1.stall_until = su1
-                    t1.pos = pos1
+                    spill_hot(t1, (own1, gh1, ret1, dec1, grp1, opw1, fuw1,
+                                   ws1, lg1, ls1, lb1, lt1, mis1, su1, pos1))
                 self._gct_used = gct_used
                 for h in self._hooks:
                     if now >= h[1]:
                         h[1] += h[0]
                         h[2](self, now)
                 self._next_hook = min(h[1] for h in self._hooks)
-                if t0 is not None:
-                    own0, gh0, ret0 = (t0.owned_slots, t0.gct_held,
-                                       t0.retired)
-                    dec0, grp0 = t0.decoded, t0.groups_dispatched
-                    opw0, fuw0 = (t0.operand_wait_cycles,
-                                  t0.fu_wait_cycles)
-                    ws0, lg0 = t0.wasted_slots, t0.slots_lost_gct
-                    ls0, lb0 = (t0.slots_lost_stall,
-                                t0.slots_lost_balancer)
-                    lt0, mis0 = t0.slots_lost_throttle, t0.mispredicts
-                    su0, pos0 = t0.stall_until, t0.pos
-                    bst0, thr0 = t0.balancer_stalled, t0.throttled
-                    rep0, n0 = t0.rep_index, len(t0.trace)
-                    avail0 = not t0.finished
-                    nc0 = q0[0][0] if q0 else BIG
-                if t1 is not None:
-                    own1, gh1, ret1 = (t1.owned_slots, t1.gct_held,
-                                       t1.retired)
-                    dec1, grp1 = t1.decoded, t1.groups_dispatched
-                    opw1, fuw1 = (t1.operand_wait_cycles,
-                                  t1.fu_wait_cycles)
-                    ws1, lg1 = t1.wasted_slots, t1.slots_lost_gct
-                    ls1, lb1 = (t1.slots_lost_stall,
-                                t1.slots_lost_balancer)
-                    lt1, mis1 = t1.slots_lost_throttle, t1.mispredicts
-                    su1, pos1 = t1.stall_until, t1.pos
-                    bst1, thr1 = t1.balancer_stalled, t1.throttled
-                    rep1, n1 = t1.rep_index, len(t1.trace)
-                    avail1 = not t1.finished
-                    nc1 = q1[0][0] if q1 else BIG
                 gct_used = self._gct_used
                 if arbiter is not self._arbiter:
-                    arbiter = self._arbiter
-                    prio_p, prio_s = self.priorities
-                    dec_width, tab, tab_len = self._array_locals()
-                    one = tab_len == 1
-                    tid0 = tab[0]
-                kern0 = self._live_kernels(t0, dec_width)
-                kern1 = self._live_kernels(t1, dec_width)
+                    (arbiter, prio_p, prio_s, dec_width, tab, tab_len, one,
+                     tid0) = self._array_locals()
+                (own0, gh0, ret0, dec0, grp0, opw0, fuw0, ws0, lg0, ls0, lb0,
+                 lt0, mis0, su0, pos0, bst0, thr0, rep0, n0, avail0, nc0,
+                 kern0) = fill(t0, dec_width)
+                (own1, gh1, ret1, dec1, grp1, opw1, fuw1, ws1, lg1, ls1, lb1,
+                 lt1, mis1, su1, pos1, bst1, thr1, rep1, n1, avail1, nc1,
+                 kern1) = fill(t1, dec_width)
 
             if slow:
                 due = next_gc
@@ -789,37 +608,11 @@ class ArraySMTCore(SMTCore):
             now += 1
 
         if t0 is not None:
-            t0.owned_slots = own0
-            t0.gct_held = gh0
-            t0.retired = ret0
-            t0.decoded = dec0
-            t0.groups_dispatched = grp0
-            t0.operand_wait_cycles = opw0
-            t0.fu_wait_cycles = fuw0
-            t0.wasted_slots = ws0
-            t0.slots_lost_gct = lg0
-            t0.slots_lost_stall = ls0
-            t0.slots_lost_balancer = lb0
-            t0.slots_lost_throttle = lt0
-            t0.mispredicts = mis0
-            t0.stall_until = su0
-            t0.pos = pos0
+            spill_hot(t0, (own0, gh0, ret0, dec0, grp0, opw0, fuw0, ws0, lg0,
+                           ls0, lb0, lt0, mis0, su0, pos0))
         if t1 is not None:
-            t1.owned_slots = own1
-            t1.gct_held = gh1
-            t1.retired = ret1
-            t1.decoded = dec1
-            t1.groups_dispatched = grp1
-            t1.operand_wait_cycles = opw1
-            t1.fu_wait_cycles = fuw1
-            t1.wasted_slots = ws1
-            t1.slots_lost_gct = lg1
-            t1.slots_lost_stall = ls1
-            t1.slots_lost_balancer = lb1
-            t1.slots_lost_throttle = lt1
-            t1.mispredicts = mis1
-            t1.stall_until = su1
-            t1.pos = pos1
+            spill_hot(t1, (own1, gh1, ret1, dec1, grp1, opw1, fuw1, ws1, lg1,
+                           ls1, lb1, lt1, mis1, su1, pos1))
         self._gct_used = gct_used
         self._cycle = now
         return cycles

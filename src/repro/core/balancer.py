@@ -69,6 +69,12 @@ class ResourceBalancer:
         self.stats.reset()
         self.next_window = self.config.window_cycles
 
+    def state(self) -> tuple:
+        """Every statistics list and the next window boundary."""
+        stats = self.stats
+        return (tuple(tuple(getattr(stats, n)) for n in stats.__slots__),
+                self.next_window)
+
     def is_offender(self, prio_self: int, prio_other: int) -> bool:
         """True when this thread may be balanced against.
 

@@ -59,6 +59,13 @@ class UnitPool:
         self.thread_issues[thread_id] += 1
         return start
 
+    def state(self, now: int) -> tuple:
+        """Statistics and occupancy at or after ``now`` (every future
+        claim probes there; ``collect`` drops older records lazily)."""
+        return (self.issues, self.total_wait, tuple(self.thread_issues),
+                tuple(sorted((t, v) for t, v in self._occupied.items()
+                             if t >= now)))
+
     def collect(self, now: int) -> None:
         """Drop occupancy records older than ``now`` (bookkeeping only)."""
         occupied = self._occupied
@@ -90,6 +97,11 @@ class FunctionalUnits:
         self.lsu.collect(now)
         self.fpu.collect(now)
         self.bxu.collect(now)
+
+    def state(self, now: int) -> tuple:
+        """Every pool's :meth:`UnitPool.state`."""
+        return (self.fxu.state(now), self.lsu.state(now),
+                self.fpu.state(now), self.bxu.state(now))
 
     def pools(self) -> tuple[UnitPool, ...]:
         """All pools, for reporting."""

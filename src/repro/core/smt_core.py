@@ -202,6 +202,19 @@ class SMTCore:
             raise KeyError(f"no workload on thread {thread_id}")
         return th
 
+    def state(self) -> tuple:
+        """The machine state, from every subsystem's ``state``: two
+        cores that agree here behave identically from this cycle on."""
+        now = self._cycle
+        return (now, self._gct_used,
+                tuple(int(p) for p in self.interface.priorities),
+                self.honor_priority_nops,
+                tuple((h[0], h[1]) for h in self._hooks), self._next_hook,
+                tuple(None if th is None else th.state(now)
+                      for th in self._threads),
+                self.hierarchy.state(now), self.fus.state(now),
+                self.bht.state(), self.balancer.state())
+
     def _rebuild_arbiter(self) -> None:
         prio_p, prio_s = self.priorities
         # An empty context never decodes: arbitrate as if shut off.
@@ -372,7 +385,8 @@ class SMTCore:
 
                 if now >= bal.next_window:
                     bal.next_window = now + window
-                    self._window_update(t0, t1, prio_p, prio_s)
+                    self._window_update(t0, t1, prio_p, prio_s,
+                                        t0.retired, t1.retired)
 
             # -- periodic hooks -----------------------------------------
             next_hook = self._next_hook
@@ -641,22 +655,27 @@ class SMTCore:
         self.balancer.stats.flushed_groups[th.thread_id] += nsquashed
 
     def _window_update(self, t0: HardwareThread, t1: HardwareThread,
-                       prio_p: int, prio_s: int) -> None:
-        """Throttle decisions at a monitoring-window boundary."""
+                       prio_p: int, prio_s: int, retired0: int,
+                       retired1: int) -> tuple[bool, bool]:
+        """Throttle decisions at a monitoring-window boundary; returns
+        the new ``throttled`` flags (the retired counts are passed in:
+        the array engine holds them in locals)."""
         bal = self.balancer
         hier = self.hierarchy
-        for th, other, mine, theirs in ((t0, t1, prio_p, prio_s),
-                                        (t1, t0, prio_s, prio_p)):
+        for th, other, mine, theirs, retired in (
+                (t0, t1, prio_p, prio_s, retired0),
+                (t1, t0, prio_s, prio_p, retired1)):
             misses = hier.l2_miss_count(th.thread_id)
             delta = misses - th.window_l2_misses
             th.window_l2_misses = misses
-            retired_delta = th.retired - th.window_retired
-            th.window_retired = th.retired
+            retired_delta = retired - th.window_retired
+            th.window_retired = retired
             throttle = (not other.finished and mine <= theirs
                         and bal.window_throttle(delta, retired_delta))
             if throttle and not th.throttled:
                 bal.stats.throttle_windows[th.thread_id] += 1
             th.throttled = throttle
+        return t0.throttled, t1.throttled
 
     # ------------------------------------------------------------------
     # Results

@@ -32,6 +32,31 @@ class InflightGroup(NamedTuple):
     rep_index: int
 
 
+#: The per-thread counters the array engine's step loop keeps in locals,
+#: in spill/fill order: ``fill_hot``/``spill_hot`` are generated from
+#: it, and :meth:`HardwareThread.state` reads it too.
+HOT_COUNTERS = (
+    "owned_slots", "gct_held", "retired", "decoded", "groups_dispatched",
+    "operand_wait_cycles", "fu_wait_cycles", "wasted_slots",
+    "slots_lost_gct", "slots_lost_stall", "slots_lost_balancer",
+    "slots_lost_throttle", "mispredicts", "stall_until", "pos")
+
+
+def _make_sync(names: tuple[str, ...]):
+    # Straight-line attribute loads and one tuple-target store: both
+    # cheaper than ``attrgetter(*names)`` or a setattr loop.
+    attrs = ", ".join(f"th.{n}" for n in names)
+    ns: dict = {}
+    exec(f"def fill_hot(th):\n    return ({attrs})\n\n"
+         f"def spill_hot(th, values):\n    {attrs} = values\n", ns)
+    return ns["fill_hot"], ns["spill_hot"]
+
+
+#: ``fill_hot(th)`` -> the ``HOT_COUNTERS`` values of ``th``;
+#: ``spill_hot(th, values)`` stores such a tuple back.
+fill_hot, spill_hot = _make_sync(HOT_COUNTERS)
+
+
 class HardwareThread:
     """Decode/execution state of one SMT context."""
 
@@ -100,6 +125,26 @@ class HardwareThread:
         self.window_l2_misses = 0
         self.window_retired = 0
 
+    def state(self, now: int) -> tuple:
+        """Everything the thread's future behaviour depends on.
+
+        A stall or scoreboard entry at or before ``now`` reads as
+        ``now`` (any expired one means "ready"); the array engine's two
+        sentinel scoreboard slots hold nothing observable.
+        """
+        hot = tuple(max(v, now) if n == "stall_until" else v
+                    for n, v in zip(HOT_COUNTERS, fill_hot(self)))
+        return (hot, self.rep_index, self.finished,
+                self.balancer_stalled, self.throttled, self.gated,
+                tuple(self.inflight),
+                tuple(r if r > now else now
+                      for r in self.reg_ready[:NUM_REGS]),
+                tuple(self.rep_end_times), tuple(self.rep_end_retired),
+                tuple(self.rep_start_times), self.slots_lost_other,
+                self.flushes, self.flushed_instructions,
+                self.priority_changes, self.window_l2_misses,
+                self.window_retired)
+
     @property
     def completed_repetitions(self) -> int:
         """Number of fully retired workload repetitions."""
@@ -116,21 +161,21 @@ class HardwareThread:
             nxt = self.source.repetition(self.rep_index)
         except StopIteration:
             nxt = ()
-        trace = list(nxt)
-        if not trace:
-            self.finished = True
-            self.trace = []
-        else:
-            self.trace = trace
+        self._install(nxt)
+        self.finished = not self.trace
         self.pos = 0
 
     def rewind(self, rep_index: int, pos: int) -> None:
         """Rewind decode to ``(rep_index, pos)`` after a balancer flush."""
         if rep_index != self.rep_index:
             self.rep_index = rep_index
-            self.trace = list(self.source.repetition(rep_index))
+            self._install(self.source.repetition(rep_index))
             self.finished = False
         self.pos = pos
+
+    def _install(self, repetition) -> None:
+        """Make ``repetition`` (a sequence of instructions) the trace."""
+        self.trace = list(repetition)
 
     def __repr__(self) -> str:
         return (f"HardwareThread({self.thread_id}, {self.source.name!r}, "

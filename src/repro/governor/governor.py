@@ -86,7 +86,6 @@ class Governor:
         self.policy = policy or StaticPolicy(self.config)
         self.kernel = kernel
         self.decisions: list[GovernorDecision] = []
-        self._core = None
         self._prev_bank: CounterBank | None = None
         self._epoch = 0
         self._initial_priorities: tuple[int, int] | None = None
@@ -122,7 +121,6 @@ class Governor:
             from repro.syskernel import PatchedKernel
             self.kernel = PatchedKernel()
             self.kernel.install(core)
-        self._core = core
         self._epoch = 0
         self._initial_priorities = prio
         self.decisions = []

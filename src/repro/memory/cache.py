@@ -11,6 +11,26 @@ from __future__ import annotations
 from repro.config import CacheConfig
 
 
+def recency_state(sets: list[dict[int, int]]) -> tuple:
+    """Canonical (tags, recency order) form of a cache's or TLB's sets.
+
+    Lookups compare stamps only within a set, so two states behave
+    identically iff each set holds the same tags in the same dict
+    order with the same stamp ranking -- eviction picks the minimum
+    stamp with dict-order tie-break, which this form pins exactly
+    while staying invariant to the absolute stamp values.
+    """
+    out = []
+    for s in sets:
+        if s:
+            vals = list(s.values())
+            out.append((tuple(s), tuple(sorted(range(len(vals)),
+                                               key=vals.__getitem__))))
+        else:
+            out.append(())
+    return tuple(out)
+
+
 class CacheStats:
     """Hit/miss counters, kept per thread; the totals are their sums."""
 
@@ -68,6 +88,12 @@ class SetAssociativeCache:
         for s in self._sets:
             s.clear()
         self.stats.reset()
+
+    def state(self) -> tuple:
+        """Statistics and the :func:`recency_state` of the sets."""
+        stats = self.stats
+        return (tuple(stats.thread_hits), tuple(stats.thread_misses),
+                recency_state(self._sets))
 
     def access(self, addr: int, now: int, thread_id: int = 0) -> bool:
         """Look up byte address ``addr`` at time ``now``.

@@ -40,6 +40,15 @@ class DRAM:
         self.total_queue_cycles = 0
         self.thread_queue_cycles = [0, 0]
 
+    def state(self, now: int) -> tuple:
+        """Statistics and the transfers a bus request at or after
+        ``now`` can still collide with (those within one gap)."""
+        horizon = now - self.config.dram_bus_gap
+        return (self.accesses, self.total_queue_cycles,
+                tuple(self.thread_accesses),
+                tuple(self.thread_queue_cycles),
+                tuple(s for s in self._starts if s > horizon))
+
     def access(self, start: int, now: int, thread_id: int = 0) -> int:
         """Schedule a DRAM access wanting the bus at ``start``.
 

@@ -105,6 +105,14 @@ class MemoryHierarchy:
             counts[0] = counts[1] = 0
         self.store_counts[0] = self.store_counts[1] = 0
 
+    def state(self, now: int) -> tuple:
+        """Every level's ``state``, the prefetcher's and the counts."""
+        return (self.tlb.state(), self.l1d.state(), self.l2.state(),
+                self.l3.state(), self.lmq.state(now), self.dram.state(now),
+                self.prefetcher.state(),
+                tuple(tuple(c) for c in self.level_counts.values()),
+                tuple(self.store_counts))
+
     def load(self, addr: int, issue: int, thread_id: int = 0,
              now: int | None = None) -> LoadResult:
         """Schedule a load issuing at cycle ``issue``.

@@ -50,6 +50,15 @@ class LoadMissQueue:
         self.thread_acquisitions = [0, 0]
         self.thread_wait_cycles = [0, 0]
 
+    def state(self, now: int) -> tuple:
+        """Statistics, records busy after ``now`` (``acquire`` trims the
+        rest unobservably) and the start ``fill`` will record."""
+        return (self.acquisitions, self.total_wait_cycles,
+                tuple(self.thread_acquisitions),
+                tuple(self.thread_wait_cycles),
+                tuple(r for r in self._intervals if r[0] > now),
+                self._pending_start)
+
     def occupancy(self, at: int) -> int:
         """Number of slots busy at cycle ``at``."""
         return sum(1 for e, s in self._intervals if s <= at < e)

@@ -8,7 +8,7 @@ The balancer also monitors TLB misses (paper section 3.1).
 from __future__ import annotations
 
 from repro.config import TLBConfig
-from repro.memory.cache import CacheStats
+from repro.memory.cache import CacheStats, recency_state
 
 
 class TLB:
@@ -30,6 +30,12 @@ class TLB:
         for s in self._sets:
             s.clear()
         self.stats.reset()
+
+    def state(self) -> tuple:
+        """Statistics and the :func:`recency_state` of the sets."""
+        stats = self.stats
+        return (tuple(stats.thread_hits), tuple(stats.thread_misses),
+                recency_state(self._sets))
 
     def access(self, addr: int, now: int, thread_id: int = 0) -> bool:
         """Translate byte address ``addr``; True on a TLB hit."""

@@ -102,6 +102,16 @@ class StreamPrefetcher:
         self._prev = [-1, -1]
         self.stats.reset()
 
+    def state(self) -> tuple:
+        """Knobs, streams, in-flight fills (in insertion order: the
+        buffer drops its oldest first) and statistics."""
+        return (tuple(self.on), tuple(self.depth), tuple(self.degree),
+                tuple(tuple(tuple(e) for e in s) for s in self._streams),
+                tuple(tuple(d.items()) for d in self._inflight),
+                tuple(self._prev),
+                tuple(tuple(getattr(self.stats, n))
+                      for n in self.stats.__slots__))
+
     # -- run-time control (the smt_prefetch sysfs files) ---------------
 
     def set_enable(self, thread_id: int, value: bool) -> None:

@@ -150,91 +150,6 @@ def test_array_sweep_serial_vs_jobs2_identical():
 # Machine state of long direct runs
 # ----------------------------------------------------------------------
 
-def _recency_sig(sets):
-    """Canonical (tags, recency order) form of one cache/TLB level.
-
-    Lookups compare stamps only within a set, so two states behave
-    identically iff each set holds the same tags in the same dict
-    order with the same stamp ranking -- eviction picks the minimum
-    stamp with dict-order tie-break, which this form pins exactly
-    while staying invariant to the absolute stamp values.
-    """
-    out = []
-    for s in sets:
-        if s:
-            vals = list(s.values())
-            out.append((tuple(s), tuple(sorted(range(len(vals)),
-                                               key=vals.__getitem__))))
-        else:
-            out.append(())
-    return tuple(out)
-
-
-def _machine_state(core):
-    """Everything observable about post-run machine state.
-
-    Compared across engines at the same cycle, so live timestamps
-    (future-dated records) are compared absolutely.  Two classes are
-    canonicalised because their raw values are unobservable: expired
-    timestamps (a stale scoreboard/reservation entry at or before
-    ``now`` acts exactly like any other -- "ready") and cache stamps
-    (lookups compare them only within a set, so the recency order is
-    the state).  The object engine's scoreboard lacks the array
-    engine's two sentinel slots, hence the ``NUM_REGS`` slice.
-    """
-    from repro.isa.registers import NUM_REGS
-
-    now = core._cycle
-    threads = []
-    for th in core._threads:
-        if th is None:
-            threads.append(None)
-            continue
-        threads.append((
-            th.pos, th.rep_index, th.finished, th.gct_held,
-            max(th.stall_until, now), tuple(th.inflight),
-            tuple(r if r > now else now for r in th.reg_ready[:NUM_REGS]),
-            tuple(th.rep_end_times), tuple(th.rep_end_retired),
-            tuple(th.rep_start_times),
-            tuple(getattr(th, f) for f in (
-                "owned_slots", "wasted_slots", "slots_lost_gct",
-                "slots_lost_stall", "slots_lost_balancer",
-                "slots_lost_throttle", "slots_lost_other", "decoded",
-                "retired", "groups_dispatched", "mispredicts", "flushes",
-                "flushed_instructions", "operand_wait_cycles",
-                "fu_wait_cycles", "priority_changes",
-                "window_l2_misses", "window_retired"))))
-    hier = core.hierarchy
-    gap = hier.dram.config.dram_bus_gap
-    mem = (tuple(tuple(v) for v in hier.level_counts.values()),
-           tuple(hier.store_counts),
-           hier.lmq.acquisitions, hier.lmq.total_wait_cycles,
-           tuple(hier.lmq.thread_acquisitions),
-           tuple(hier.lmq.thread_wait_cycles),
-           tuple((e, s) for e, s in hier.lmq._intervals if e > now),
-           hier.dram.accesses, hier.dram.total_queue_cycles,
-           tuple(hier.dram.thread_accesses),
-           tuple(hier.dram.thread_queue_cycles),
-           tuple(s for s in hier.dram._starts if s > now - gap))
-    caches = tuple(
-        (unit.stats.hits, unit.stats.misses,
-         tuple(unit.stats.thread_hits), tuple(unit.stats.thread_misses),
-         _recency_sig(unit._sets))
-        for unit in (hier.tlb, hier.l1d, hier.l2, hier.l3))
-    pools = tuple(
-        (p.issues, p.total_wait, tuple(p.thread_issues),
-         tuple(sorted((t, v) for t, v in p._occupied.items() if t >= now)))
-        for p in core.fus.pools())
-    bht = (bytes(core.bht._table), core.bht.predictions,
-           core.bht.mispredictions, tuple(core.bht.thread_predictions),
-           tuple(core.bht.thread_mispredictions))
-    bal = tuple(tuple(getattr(core.balancer.stats, n)) for n in
-                ("stall_events", "stall_cycles", "flush_events",
-                 "flushed_groups", "throttle_windows"))
-    return (core._cycle, core._gct_used, tuple(threads), mem, caches,
-            pools, bht, bal)
-
-
 def _loaded(config, secondary):
     core = make_core(config)
     sources = [make_microbenchmark("cpu_int", config)]
@@ -248,7 +163,7 @@ def _loaded(config, secondary):
 def _direct_pair(config, priorities, hook_period=None, cap=120_000):
     """``ldint_mem`` + ``cpu_int`` stepped directly on the core.
 
-    Returns the final machine state and the hook's fire cycles.  The
+    Returns the drained core and the hook's fire cycles.  The
     optional hook is a mutating (non-observer) timer that drops to the
     default pair and restores it on every third firing, so each firing
     voids any verified steady regime.
@@ -270,7 +185,7 @@ def _direct_pair(config, priorities, hook_period=None, cap=120_000):
     while not core.all_finished() and core.cycle < cap:
         core.step(4096)
     core.drain()
-    return _machine_state(core), tuple(fired)
+    return core, tuple(fired)
 
 
 @pytest.mark.parametrize("priorities", [(4, 4), (6, 1), (1, 6)])
@@ -283,29 +198,29 @@ def test_balancer_stats_identical_across_engines(configs, priorities):
     statistics and every slot-loss counter.
     """
     array_cfg, obj_cfg = configs
-    array_state, _ = _direct_pair(array_cfg, priorities)
-    obj_state, _ = _direct_pair(obj_cfg, priorities)
-    assert array_state == obj_state
+    array_core, _ = _direct_pair(array_cfg, priorities)
+    obj_core, _ = _direct_pair(obj_cfg, priorities)
+    assert array_core.state() == obj_core.state()
     # Where ldint_mem is not the favoured thread the balancer/GCT
     # pressure path must actually fire, otherwise this differential
     # proves nothing.  (At (6,1) the memory thread owns nearly every
     # slot and is never an offender.)
     if priorities[0] <= priorities[1]:
-        _, stall_cycles, flush_events = obj_state[-1][:3]
-        assert sum(stall_cycles) > 0 or sum(flush_events) > 0
+        stats = obj_core.balancer.stats
+        assert sum(stats.stall_cycles) > 0 or sum(stats.flush_events) > 0
 
 
 @pytest.mark.parametrize("period", [509, 1024])
 def test_hooked_run_identical_across_engines(configs, period):
     """Mutating hooks fire on the same cycles with the same effects."""
     array_cfg, obj_cfg = configs
-    array_state, array_fired = _direct_pair(array_cfg, (6, 1),
-                                            hook_period=period)
-    obj_state, obj_fired = _direct_pair(obj_cfg, (6, 1),
-                                        hook_period=period)
+    array_core, array_fired = _direct_pair(array_cfg, (6, 1),
+                                           hook_period=period)
+    obj_core, obj_fired = _direct_pair(obj_cfg, (6, 1),
+                                       hook_period=period)
     assert array_fired == obj_fired
     assert len(obj_fired) > 10
-    assert array_state == obj_state
+    assert array_core.state() == obj_core.state()
 
 
 @pytest.mark.parametrize("secondary,horizon",
@@ -316,15 +231,15 @@ def test_long_run_state_matches_object_engine(secondary, horizon):
 
     Counters and repetition series must match bit-for-bit; time-stamped
     records (scoreboard, reservations, queue intervals) may differ only
-    below ``now`` where staleness is unobservable -- the state digest
-    above includes them all, so any live divergence fails loudly.
+    below ``now`` where staleness is unobservable -- ``SMTCore.state``
+    includes them all, so any live divergence fails loudly.
     """
     config = CoreConfig()
     array = _loaded(config, secondary)
     array.step(horizon)
     obj = _loaded(dataclasses.replace(config, engine="object"), secondary)
     obj.step(horizon)
-    assert _machine_state(array) == _machine_state(obj)
+    assert array.state() == obj.state()
 
 
 def test_state_invariant_to_step_chunking():
@@ -333,12 +248,9 @@ def test_state_invariant_to_step_chunking():
     one = _loaded(config, None)
     one.step(300_000)
     chunked = _loaded(config, None)
-    stepped = 0
-    while stepped < 300_000:
-        n = min(8192, 300_000 - stepped)
-        chunked.step(n)
-        stepped += n
-    assert _machine_state(one) == _machine_state(chunked)
+    for start in range(0, 300_000, 8192):
+        chunked.step(min(8192, 300_000 - start))
+    assert one.state() == chunked.state()
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +280,7 @@ def test_governed_run_bit_identical_across_engines(configs, policy_cls,
         gov = Governor(gcfg, policy_cls(gcfg))
         gov.attach(core)
         core.step(400_000)
-        sigs.append((_machine_state(core), repr(gov.decision_log())))
+        sigs.append((core.state(), repr(gov.decision_log())))
     assert sigs[0] == sigs[1]
 
 
@@ -381,7 +293,7 @@ def test_sampled_run_bit_identical_across_engines(configs, secondary):
         sampler = IntervalSampler(8192)
         sampler.attach(core)
         core.step(300_000)
-        sigs.append((_machine_state(core), repr(sampler.samples)))
+        sigs.append((core.state(), repr(sampler.samples)))
     assert sigs[0] == sigs[1]
 
 
@@ -428,7 +340,7 @@ def test_pipeline_bit_identical_across_engines(configs, monkeypatch,
     for config in configs:
         pipe = pipeline.SoftwarePipeline(config=config, buffer_depth=depth)
         result = pipe.run(priorities=priorities)
-        sigs.append((result, _machine_state(cores[-1])))
+        sigs.append((result, cores[-1].state()))
     assert sigs[0] == sigs[1]
     # The array run must not fall back to reference decode: both
     # threads' traces (the FFT is ~9.4k instructions) bind kernels.

@@ -7,7 +7,10 @@ decode, and clean termination of finite workloads.  Memory-heavy
 two-thread traces over an address pool that aliases on purpose must
 also leave the array and object engines in the same machine state,
 with or without random repetition gates, as must traces whose decode
-groups re-touch lines and mix same-set tags.
+groups re-touch lines and mix same-set tags, or run under a hook
+that rewrites priorities and prefetcher knobs.  These traces carry
+priority nops, whose groups the array engine decodes on the reference
+path.
 """
 
 import dataclasses
@@ -18,7 +21,9 @@ from hypothesis import strategies as st
 from repro.config import POWER5
 from repro.core import SMTCore, make_core
 from repro.isa import FixedTraceSource, Instruction, OpClass, Trace
-from test_array_engine_differential import _machine_state
+from repro.isa.priority_ops import encode_priority_nop
+from repro.prefetch import PrefetchConfig
+from repro.prefetch.config import MAX_DEGREE, MAX_DEPTH
 
 _CONFIG = POWER5.small()
 
@@ -143,8 +148,13 @@ def _aliasing_pool(config):
 
 _POOL = _aliasing_pool(_CONFIG)
 
+#: Levels a priority nop can request (user code may set only 2..4).
+nop_levels = st.integers(min_value=1, max_value=6)
 
-def _mem_instruction(op, dst, src, addr, taken):
+
+def _mem_instruction(op, dst, src, addr, taken, prio):
+    if op is OpClass.PRIO_NOP:
+        return encode_priority_nop(prio)
     if op is OpClass.LOAD:
         return Instruction(op, dst, src, -1, addr)
     if op is OpClass.STORE:
@@ -157,8 +167,9 @@ def _mem_instruction(op, dst, src, addr, taken):
 mem_traces = st.lists(st.builds(
     _mem_instruction,
     st.sampled_from([OpClass.LOAD, OpClass.LOAD, OpClass.STORE,
-                     OpClass.FX, OpClass.FP, OpClass.BRANCH]),
-    regs, maybe_reg, st.sampled_from(_POOL), st.booleans()),
+                     OpClass.FX, OpClass.FP, OpClass.BRANCH,
+                     OpClass.PRIO_NOP]),
+    regs, maybe_reg, st.sampled_from(_POOL), st.booleans(), nop_levels),
     min_size=1, max_size=40)
 
 
@@ -182,7 +193,7 @@ class TestEnginesAgreeOnAliasingMemoryTraces:
             core.load([_source(t0, "a"), _source(t1, "b")],
                       priorities=(p0, p1))
             core.step(3000)
-            states.append(_machine_state(core))
+            states.append(core.state())
         assert states[0] == states[1]
 
 
@@ -209,9 +220,9 @@ def _mixed_pool(config):
 mixed_traces = st.lists(st.builds(
     _mem_instruction,
     st.sampled_from([OpClass.LOAD, OpClass.LOAD, OpClass.STORE,
-                     OpClass.FX, OpClass.BRANCH]),
+                     OpClass.FX, OpClass.BRANCH, OpClass.PRIO_NOP]),
     regs, maybe_reg, st.sampled_from(_mixed_pool(_CONFIG)),
-    st.booleans()),
+    st.booleans(), nop_levels),
     min_size=1, max_size=40)
 
 
@@ -220,16 +231,16 @@ class TestEnginesAgreeOnMixedMemoryTraces:
            st.integers(min_value=1, max_value=6))
     @settings(max_examples=40, deadline=None)
     def test_machine_state_identical(self, t0, t1, p0, p1):
-        """Groups that re-touch lines, mix same-set tags and claim
-        units with and without ready operands leave both engines in
-        the same machine state."""
+        """Groups that re-touch lines, mix same-set tags, claim units
+        with and without ready operands, or change priority leave both
+        engines in the same machine state."""
         states = []
         for config in (_CONFIG, _OBJECT_CONFIG):
             core = make_core(config)
             core.load([_source(t0, "a"), _source(t1, "b")],
                       priorities=(p0, p1))
             core.step(3000)
-            states.append(_machine_state(core))
+            states.append(core.state())
         assert states[0] == states[1]
 
 
@@ -287,7 +298,61 @@ class TestEnginesAgreeUnderRandomGates:
             threads += (core.thread(0), core.thread(1))
             for cycles in chunks:
                 core.step(cycles)
-            states.append((_machine_state(core),
-                           tuple((th.completed_repetitions, th.gated)
-                                 for th in threads)))
+            states.append(core.state())
+        assert states[0] == states[1]
+
+
+# ----------------------------------------------------------------------
+# Array vs object engine under random periodic hooks
+# ----------------------------------------------------------------------
+
+_PF_CONFIG = _CONFIG.replace(prefetch=PrefetchConfig(
+    enabled=(True, True), depth=2, degree=1))
+
+#: Successive hook firings' writes (cycled): a priority pair and one
+#: thread's prefetcher knobs (thread, on, depth, degree).
+hook_writes = st.lists(st.tuples(
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=1), st.booleans(),
+    st.integers(min_value=1, max_value=MAX_DEPTH),
+    st.integers(min_value=1, max_value=MAX_DEGREE)), min_size=1, max_size=6)
+
+
+def _writer(writes, fired, knobs):
+    def hook(core, now):
+        p0, p1, tid, on, depth, degree = writes[len(fired) % len(writes)]
+        fired.append(now)
+        core.set_priorities(p0, p1)
+        if knobs:  # only a prefetch-enabled config exercises them
+            pf = core.hierarchy.prefetcher
+            pf.set_enable(tid, on)
+            pf.set_depth(tid, depth)
+            pf.set_degree(tid, degree)
+    return hook
+
+
+class TestEnginesAgreeUnderRandomHooks:
+    @given(mem_traces, mem_traces, nop_levels, nop_levels, st.booleans(),
+           st.integers(min_value=2, max_value=900), hook_writes, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_machine_state_identical(self, t0, t1, p0, p1, prefetch,
+                                     period, writes, data):
+        """Hook firings land on the same cycles with the same effects
+        on both engines when ``step`` is called in random chunks, the
+        first of which ends strictly inside a hook period."""
+        inside = data.draw(st.integers(min_value=1, max_value=period - 1))
+        chunks = [period + inside] + data.draw(st.lists(
+            st.integers(min_value=1, max_value=1500), max_size=3))
+        array = _PF_CONFIG if prefetch else _CONFIG
+        states = []
+        for config in (array, dataclasses.replace(array, engine="object")):
+            core = make_core(config)
+            core.load([_source(t0, "a"), _source(t1, "b")],
+                      priorities=(p0, p1))
+            fired: list[int] = []
+            core.add_periodic_hook(period, _writer(writes, fired, prefetch))
+            for cycles in chunks:
+                core.step(cycles)
+            states.append((core.state(), fired))
         assert states[0] == states[1]

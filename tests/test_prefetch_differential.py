@@ -184,36 +184,6 @@ def _loaded(config, bench):
     return core
 
 
-def _pf_state(core):
-    """The prefetcher's complete mutable state and statistics.
-
-    In-flight ready times are compared absolutely: both cores sit at
-    the same cycle, so any drift would show.
-    """
-    pf = core.hierarchy.prefetcher
-    return (tuple(tuple(tuple(e) for e in s) for s in pf._streams),
-            tuple(tuple(sorted(d.items())) for d in pf._inflight),
-            tuple(pf._prev), tuple(pf.on), tuple(pf.depth),
-            tuple(pf.degree),
-            tuple(tuple(getattr(pf.stats, f)) for f in
-                  ("allocs", "issues", "hits", "useless", "late")))
-
-
-def _thread_state(core):
-    return tuple(
-        (th.pos, th.rep_index, th.retired, th.decoded,
-         tuple(th.rep_end_times), tuple(th.rep_end_retired))
-        for th in core._threads if th is not None)
-
-
-def _mem_state(core):
-    hier = core.hierarchy
-    return (tuple(tuple(v) for v in hier.level_counts.values()),
-            hier.lmq.acquisitions, hier.dram.accesses,
-            tuple(hier.lmq.thread_acquisitions),
-            tuple(hier.dram.thread_accesses))
-
-
 #: Memory-resident walks exercising fills against every level below
 #: L1: the L2-resident walk takes the useless-filter path, the others
 #: the LMQ/DRAM fill path.
@@ -228,9 +198,7 @@ def test_prefetch_long_run_state_matches_object_engine(bench):
     array.step(400_000)
     obj = _loaded(dataclasses.replace(config, engine="object"), bench)
     obj.step(400_000)
-    assert _pf_state(array) == _pf_state(obj)
-    assert _thread_state(array) == _thread_state(obj)
-    assert _mem_state(array) == _mem_state(obj)
+    assert array.state() == obj.state()
     # The engine must have been live, not idle.
     assert sum(array.hierarchy.prefetcher.stats.issues) > 0
 
@@ -242,10 +210,6 @@ def test_prefetch_state_invariant_to_step_chunking(bench):
     one = _loaded(config, bench)
     one.step(400_000)
     chunked = _loaded(config, bench)
-    stepped = 0
-    while stepped < 400_000:
-        chunked.step(min(8192, 400_000 - stepped))
-        stepped += 8192
-    assert _pf_state(one) == _pf_state(chunked)
-    assert _thread_state(one) == _thread_state(chunked)
-    assert _mem_state(one) == _mem_state(chunked)
+    for start in range(0, 400_000, 8192):
+        chunked.step(min(8192, 400_000 - start))
+    assert one.state() == chunked.state()

@@ -26,7 +26,6 @@ from repro.workloads.tracecache import (
     cached_workload,
     clear_cache,
 )
-from test_array_engine_differential import _machine_state
 
 
 @pytest.fixture(autouse=True)
@@ -140,7 +139,7 @@ def test_factory_keyed_by_cache_geometry(config, geometry):
             core = make_core(dataclasses.replace(cfg, engine=engine))
             core.load([FixedTraceSource(Trace("t", trace))])
             core.step(20_000)
-            states.append(_machine_state(core))
+            states.append(core.state())
             if engine == "array":
                 assert factory in core.thread(0)._kern_cache
         assert states[0] == states[1]
