@@ -79,9 +79,6 @@ class Chip:
         """Mark a core idle: ``step`` stops advancing it."""
         self._active[core_id] = False
 
-    def core_active(self, core_id: int) -> bool:
-        return self._active[core_id]
-
     def core_offset(self, core_id: int) -> int:
         """Chip cycle at which the core's current workload was loaded."""
         return self._offsets[core_id]
@@ -96,9 +93,6 @@ class Chip:
         return (core.all_finished()
                 and not any(th is not None and th.inflight
                             for th in core._threads))
-
-    def any_active(self) -> bool:
-        return any(self._active)
 
     def step(self, cycles: int) -> None:
         """Advance the chip clock by ``cycles``, stepping active cores.

@@ -39,6 +39,7 @@ from repro.core.fu import FunctionalUnits
 from repro.core.results import CoreResult, ThreadResult
 from repro.core.thread import HardwareThread
 from repro.isa.instruction import OpClass
+from repro.isa.priority_ops import OR_REGISTER_TO_PRIORITY
 from repro.isa.trace import TraceSource
 from repro.memory import MemoryHierarchy
 from repro.priority import PriorityInterface, PrioritySlotArbiter
@@ -183,6 +184,24 @@ class SMTCore:
         self.interface.request(0, prio_p, PrivilegeLevel.HYPERVISOR)
         self.interface.request(1, prio_s, PrivilegeLevel.HYPERVISOR)
         self._rebuild_arbiter()
+
+    def request_priority(self, thread_id: int, level: int,
+                         privilege: PrivilegeLevel) -> bool:
+        """Software's priority write: the one counted path.
+
+        A priority nop in the trace, a ``/sys`` write and a hypervisor
+        call all end here.  An impermissible request is a silent nop;
+        an applied one counts as a ``PM_PRIO_CHANGE`` on the target
+        thread (even when it re-asserts the current level) and takes
+        effect at the next decode boundary.  Returns whether it applied.
+        """
+        if not self.interface.request(thread_id, level, privilege):
+            return False
+        th = self._threads[thread_id]
+        if th is not None:
+            th.priority_changes += 1
+        self._rebuild_arbiter()
+        return True
 
     @property
     def priorities(self) -> tuple[int, int]:
@@ -495,8 +514,7 @@ class SMTCore:
         fu_wait = 0
 
         while count < width and pos < n:
-            ins = trace[pos]
-            op, dst, s1, s2, addr, aux = ins
+            op, dst, s1, s2, addr, aux = trace[pos]
             if count and break_long and long_dsts and (
                     s1 in long_dsts or s2 in long_dsts):
                 break
@@ -581,9 +599,10 @@ class SMTCore:
             elif op == _OP_PRIO:
                 start = comp = earliest
                 if self.honor_priority_nops:
-                    if self.interface.execute_nop(tid, ins, th.privilege):
-                        th.priority_changes += 1
-                        self._rebuild_arbiter()
+                    # An unrecognised encoding is a plain nop.
+                    level = OR_REGISTER_TO_PRIORITY.get(aux)
+                    if level is not None:
+                        self.request_priority(tid, level, th.privilege)
             else:  # _OP_NOP
                 start = comp = earliest
 

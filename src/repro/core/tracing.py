@@ -89,13 +89,6 @@ class PipelineTracer:
             buckets.setdefault(e.op, []).append(e.latency)
         return {op: mean(vals) for op, vals in buckets.items()}
 
-    def issue_delay_by_class(self) -> dict[OpClass, float]:
-        """Mean decode-to-issue delay per operation class."""
-        buckets: dict[OpClass, list[int]] = {}
-        for e in self.events:
-            buckets.setdefault(e.op, []).append(e.issue_delay)
-        return {op: mean(vals) for op, vals in buckets.items()}
-
     def render_timeline(self, thread_id: int = 0, first: int = 0,
                         count: int = 32, width: int = 64) -> str:
         """Text pipeline diagram: D = decode, = wait, X = execute.

@@ -31,7 +31,7 @@ from repro.isa.instruction import Instruction, OpClass
 
 #: Priority level -> register number of the ``or X,X,X`` encoding.
 #: Priority 0 has no or-nop form: shutting a thread off requires a
-#: hypervisor call (see :mod:`repro.syskernel.hcall`).
+#: hypervisor call (see :meth:`repro.syskernel.PatchedKernel.set_priority`).
 PRIORITY_TO_OR_REGISTER: dict[int, int] = {
     1: 31,
     2: 1,

@@ -98,8 +98,8 @@ EVENTS: tuple[EventDef, ...] = (
              "waited for source operands past the front-end depth"),
     # -- software-priority interface ---------------------------------
     EventDef("PM_PRIO_CHANGE", "priority", "software priority requests "
-             "that took effect (applied or-nops, kernel sysfs writes "
-             "and hypervisor calls)"),
+             "that took effect (applied or-nops and kernel writes: "
+             "sysfs, hypervisor-level and the stock kernel's own)"),
 )
 
 #: Event name -> position in :data:`EVENTS`.

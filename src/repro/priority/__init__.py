@@ -6,7 +6,7 @@ from repro.priority.formula import (
     resource_factor,
     slot_share,
 )
-from repro.priority.interface import PriorityInterface, PriorityRequest
+from repro.priority.interface import PriorityInterface
 from repro.priority.levels import (
     ALLOWED_PRIORITIES,
     DEFAULT_PRIORITY,
@@ -29,5 +29,4 @@ __all__ = [
     "PrioritySlotArbiter",
     "ArbiterMode",
     "PriorityInterface",
-    "PriorityRequest",
 ]

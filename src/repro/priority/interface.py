@@ -3,32 +3,18 @@
 Models how priority requests reach the hardware: a context at some
 privilege level issues an ``or X,X,X`` form (or a hypervisor call for
 priority 0/7), and the request either takes effect or is silently
-ignored, per Table 1.  The interface records every request so tests and
-the kernel models can assert on the exact sequence of transitions.
+ignored, per Table 1.  Counting applied requests is the core's job
+(:meth:`repro.core.SMTCore.request_priority`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.isa.instruction import Instruction, OpClass
-from repro.isa.priority_ops import OR_REGISTER_TO_PRIORITY
 from repro.priority.levels import (
     DEFAULT_PRIORITY,
     PriorityLevel,
     PrivilegeLevel,
     can_set_priority,
 )
-
-
-@dataclass(frozen=True)
-class PriorityRequest:
-    """One observed priority-change request."""
-
-    thread_id: int
-    requested: PriorityLevel
-    privilege: PrivilegeLevel
-    applied: bool
 
 
 class PriorityInterface:
@@ -39,7 +25,6 @@ class PriorityInterface:
                                              DEFAULT_PRIORITY)):
         self._priorities = [PriorityLevel(initial[0]),
                             PriorityLevel(initial[1])]
-        self.history: list[PriorityRequest] = []
 
     def priority(self, thread_id: int) -> PriorityLevel:
         """Current priority of ``thread_id``."""
@@ -61,28 +46,8 @@ class PriorityInterface:
         allowed = can_set_priority(privilege, level)
         if allowed:
             self._priorities[thread_id] = level
-        self.history.append(
-            PriorityRequest(thread_id, level, privilege, allowed))
         return allowed
-
-    def execute_nop(self, thread_id: int, instr: Instruction,
-                    privilege: PrivilegeLevel = PrivilegeLevel.USER) -> bool:
-        """Execute a ``PRIO_NOP`` instruction from a thread's stream.
-
-        Unrecognised encodings and under-privileged requests are treated
-        as plain nops (returns False).
-        """
-        if instr.op is not OpClass.PRIO_NOP:
-            return False
-        level = OR_REGISTER_TO_PRIORITY.get(instr.aux)
-        if level is None:
-            return False
-        return self.request(thread_id, level, privilege)
 
     def reset_to_default(self, thread_id: int) -> None:
         """Restore MEDIUM, as the stock kernel does at kernel entry."""
         self._priorities[thread_id] = DEFAULT_PRIORITY
-
-    def applied_requests(self) -> list[PriorityRequest]:
-        """The subset of requests that actually changed priority."""
-        return [r for r in self.history if r.applied]

@@ -76,11 +76,6 @@ class ScheduleResult:
                 return run
         raise KeyError(f"no job {name!r} in schedule result")
 
-    @property
-    def worst_span(self) -> int:
-        """Longest single-job wall-clock span (fairness numerator)."""
-        return max((run.span_cycles for run in self.jobs), default=0)
-
     def energy(self, config=None):
         """Price this schedule: a chip :class:`repro.energy.EnergyReport`.
 
@@ -92,12 +87,6 @@ class ScheduleResult:
         return energy_from_totals(
             dict(self.counters), self.makespan, config,
             cores=self.n_cores, retired=self.total_retired)
-
-    def core_energy(self, core_id: int, config=None):
-        """Per-core report (one core's counters, shared makespan)."""
-        from repro.energy import energy_from_totals
-        return energy_from_totals(
-            dict(self.core_counters[core_id]), self.makespan, config)
 
 
 class OsScheduler:

@@ -1,7 +1,6 @@
-"""OS-layer models: stock kernel, the paper's patch, /sys, hcalls."""
+"""OS-layer models: stock kernel, the paper's patch, /sys."""
 
 from repro.syskernel.chipkernel import ChipKernel
-from repro.syskernel.hcall import Hypervisor, HypervisorError
 from repro.syskernel.kernel import StockLinuxKernel
 from repro.syskernel.patched import PatchedKernel
 from repro.syskernel.sysfs import SysFS, SysFSError
@@ -12,6 +11,4 @@ __all__ = [
     "PatchedKernel",
     "SysFS",
     "SysFSError",
-    "Hypervisor",
-    "HypervisorError",
 ]

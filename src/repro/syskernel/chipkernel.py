@@ -7,16 +7,17 @@ logical CPUs that are thread siblings) and one priority file per
 logical CPU under ``/sys/kernel/smt_priority/core<C>/thread<T>``.
 
 :class:`ChipKernel` models that: it owns one :class:`PatchedKernel`
-per core plus a chip-wide :class:`SysFS` whose priority files forward
-to the per-core kernels.  Because :meth:`repro.core.SMTCore.load`
-clears all hooks, the scheduler must call :meth:`attach` after every
-dispatch to re-install the core's timer hook and refresh the chip-wide
-files for that core.
+per core plus a chip-wide :class:`SysFS` whose priority files take the
+same validated path as the per-core files.  A chip keeps its core
+objects across dispatches, so the chip-wide files are registered once;
+because :meth:`repro.core.SMTCore.load` clears all hooks, the scheduler
+must call :meth:`attach` after every dispatch to re-install the core's
+timer hook.
 """
 
 from __future__ import annotations
 
-from repro.syskernel.patched import PatchedKernel
+from repro.syskernel.patched import PatchedKernel, priority_file
 from repro.syskernel.sysfs import SysFS
 
 
@@ -31,12 +32,12 @@ class ChipKernel:
         self.sysfs = SysFS()
         self._kernels = [PatchedKernel(timer_period)
                          for _ in range(chip.n_cores)]
-        self._attached = [False] * chip.n_cores
+        for core_id, core in enumerate(chip.cores):
+            for tid in (0, 1):
+                self.sysfs.register(
+                    f"{self.SYSFS_DIR}/core{core_id}/thread{tid}",
+                    *priority_file(core, tid))
         self._register_topology()
-
-    def core_kernel(self, core_id: int) -> PatchedKernel:
-        """The per-core patched kernel for ``core_id``."""
-        return self._kernels[core_id]
 
     def attach(self, core_id: int) -> PatchedKernel:
         """(Re-)install the per-core kernel on its freshly loaded core.
@@ -45,40 +46,15 @@ class ChipKernel:
         the core's hooks, including the kernel timer.  Returns the
         per-core kernel so callers (e.g. a governor) can share it.
         """
-        core = self.chip.cores[core_id]
         kernel = self._kernels[core_id]
-        kernel.install(core)
-        if not self._attached[core_id]:
-            # The chip-wide files close over the kernel + core objects,
-            # which are stable across dispatches, so registering once
-            # per core suffices.
-            for tid in (0, 1):
-                self.sysfs.register(
-                    f"{self.SYSFS_DIR}/core{core_id}/thread{tid}",
-                    read=self._chip_reader(core_id, tid),
-                    write=self._chip_writer(core_id, tid))
-            self._attached[core_id] = True
+        kernel.install(self.chip.cores[core_id])
         return kernel
 
     def set_priority(self, core_id: int, thread_id: int,
                      priority: int) -> None:
         """Chip-wide privileged priority change on one hardware thread."""
-        self._kernels[core_id].set_priority(
-            self.chip.cores[core_id], thread_id, priority)
-
-    def _chip_reader(self, core_id: int, tid: int):
-        def read() -> str:
-            core = self.chip.cores[core_id]
-            return str(int(core.interface.priority(tid)))
-        return read
-
-    def _chip_writer(self, core_id: int, tid: int):
-        def write(value: str) -> None:
-            # Same validation/actuation path as the per-core file.
-            kernel = self._kernels[core_id]
-            writer = kernel._writer(self.chip.cores[core_id], tid)
-            writer(value)
-        return write
+        PatchedKernel.set_priority(self.chip.cores[core_id], thread_id,
+                                   priority)
 
     def _register_topology(self) -> None:
         """Expose the chip topology the way Linux sysfs does.

@@ -37,11 +37,13 @@ class StockLinuxKernel:
         self.timer_period = timer_period or self.DEFAULT_TIMER_PERIOD
         self.kernel_entries = 0
         self.priority_resets = 0
-        self._core: SMTCore | None = None
 
     def install(self, core: SMTCore) -> None:
-        """Attach the timer-tick hook to a loaded core."""
-        self._core = core
+        """Attach the timer-tick hook to a loaded core.
+
+        The hook holds the kernel, so the kernel holds no core: a
+        finished core is freed by reference counting alone.
+        """
         core.add_periodic_hook(self.timer_period, self._timer_tick)
 
     def _timer_tick(self, core: SMTCore, now: int) -> None:
@@ -68,27 +70,25 @@ class StockLinuxKernel:
             core._rebuild_arbiter()
 
     # -- the three legitimate uses -------------------------------------
+    # Each is a supervisor-level priority write through the core's one
+    # counted path, so it counts as a PM_PRIO_CHANGE like any other.
 
     def spin_lock_wait(self, core: SMTCore, thread_id: int) -> None:
         """Spinning on a kernel lock: drop the spinner's priority."""
-        core.interface.request(thread_id, PriorityLevel.VERY_LOW,
-                               PrivilegeLevel.SUPERVISOR)
-        core._rebuild_arbiter()
+        core.request_priority(thread_id, PriorityLevel.VERY_LOW,
+                              PrivilegeLevel.SUPERVISOR)
 
     def smp_call_function_wait(self, core: SMTCore, thread_id: int) -> None:
         """Waiting for another CPU's operation: drop priority."""
-        core.interface.request(thread_id, PriorityLevel.VERY_LOW,
-                               PrivilegeLevel.SUPERVISOR)
-        core._rebuild_arbiter()
+        core.request_priority(thread_id, PriorityLevel.VERY_LOW,
+                              PrivilegeLevel.SUPERVISOR)
 
     def idle(self, core: SMTCore, thread_id: int) -> None:
         """The idle loop: drop to very low priority."""
-        core.interface.request(thread_id, PriorityLevel.VERY_LOW,
-                               PrivilegeLevel.SUPERVISOR)
-        core._rebuild_arbiter()
+        core.request_priority(thread_id, PriorityLevel.VERY_LOW,
+                              PrivilegeLevel.SUPERVISOR)
 
     def resume_work(self, core: SMTCore, thread_id: int) -> None:
         """Work arrived: restore MEDIUM."""
-        core.interface.request(thread_id, DEFAULT_PRIORITY,
-                               PrivilegeLevel.SUPERVISOR)
-        core._rebuild_arbiter()
+        core.request_priority(thread_id, DEFAULT_PRIORITY,
+                              PrivilegeLevel.SUPERVISOR)

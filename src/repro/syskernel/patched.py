@@ -2,9 +2,9 @@
 
 Three changes relative to :class:`StockLinuxKernel`:
 
-1. priorities 1-6 become available to user space (the kernel performs
-   the change at supervisor privilege on the user's behalf; 0 and 7 go
-   through a hypervisor call);
+1. priorities 0-7 become available to user space: the kernel performs
+   the change on the user's behalf, at supervisor privilege for 1-6
+   and at hypervisor privilege (the hcall of Table 1) for 0 and 7;
 2. the kernel's *internal* uses of software-controlled priorities are
    removed, so experiments are not perturbed by unpredictable changes;
 3. kernel entries no longer reset thread priorities to MEDIUM -- the
@@ -19,15 +19,80 @@ thread: ``/sys/kernel/smt_prefetch/thread<N>/{enable,depth,degree}``.
 Writes validate like the priority file (malformed or out-of-range
 values raise :class:`SysFSError` and change nothing) and take effect
 at the next L1 miss -- prefetch hardware is only consulted on misses.
+
+Every file reaches its core through a weak reference (the core's timer
+hook already holds the kernel, so a strong one would make a cycle);
+a file whose core is gone raises :class:`SysFSError`.
 """
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Callable
+
 from repro.core import SMTCore
 from repro.priority.levels import PriorityLevel, PrivilegeLevel
-from repro.syskernel.hcall import Hypervisor
 from repro.syskernel.kernel import StockLinuxKernel
 from repro.syskernel.sysfs import SysFS, SysFSError
+
+#: A pseudo-file's (read, write) callables.
+FileOps = tuple[Callable[[], str], Callable[[str], None]]
+
+
+def _deref(ref: weakref.ref) -> SMTCore:
+    core = ref()
+    if core is None:
+        raise SysFSError("the core behind this file is gone")
+    return core
+
+
+def _parse_int(value: str, what: str) -> int:
+    try:
+        return int(value.strip())
+    except ValueError:
+        raise SysFSError(f"invalid {what}: {value!r}") from None
+
+
+def priority_file(core: SMTCore, tid: int) -> FileOps:
+    """The ``smt_priority`` file of hardware thread ``tid``."""
+    ref = weakref.ref(core)
+
+    def read() -> str:
+        return str(int(_deref(ref).interface.priority(tid)))
+
+    def write(value: str) -> None:
+        level = _parse_int(value, "priority")
+        if not 0 <= level <= 7:
+            raise SysFSError(f"priority out of range: {level}")
+        PatchedKernel.set_priority(_deref(ref), tid, level)
+    return read, write
+
+
+def prefetch_file(core: SMTCore, tid: int, knob: str) -> FileOps:
+    """The ``smt_prefetch`` file of one knob of hardware thread ``tid``."""
+    ref = weakref.ref(core)
+
+    def read() -> str:
+        pf = _deref(ref).hierarchy.prefetcher
+        if knob == "enable":
+            return str(int(pf.on[tid]))
+        return str(pf.depth[tid] if knob == "depth" else pf.degree[tid])
+
+    def write(value: str) -> None:
+        v = _parse_int(value, f"prefetch {knob}")
+        pf = _deref(ref).hierarchy.prefetcher
+        try:
+            if knob == "enable":
+                if v not in (0, 1):
+                    raise ValueError(f"enable must be 0 or 1, got {v}")
+                pf.set_enable(tid, bool(v))
+            elif knob == "depth":
+                pf.set_depth(tid, v)
+            else:
+                pf.set_degree(tid, v)
+        except ValueError as exc:
+            raise SysFSError(str(exc)) from None
+    return read, write
 
 
 class PatchedKernel(StockLinuxKernel):
@@ -39,22 +104,17 @@ class PatchedKernel(StockLinuxKernel):
     def __init__(self, timer_period: int | None = None):
         super().__init__(timer_period)
         self.sysfs = SysFS()
-        self._hypervisor: Hypervisor | None = None
 
     def install(self, core: SMTCore) -> None:
         """Attach the timer hook and register the sysfs files."""
         super().install(core)
-        self._hypervisor = Hypervisor(core)
         for tid in (0, 1):
-            self.sysfs.register(
-                f"{self.SYSFS_DIR}/thread{tid}",
-                read=self._reader(core, tid),
-                write=self._writer(core, tid))
+            self.sysfs.register(f"{self.SYSFS_DIR}/thread{tid}",
+                                *priority_file(core, tid))
             for knob in ("enable", "depth", "degree"):
                 self.sysfs.register(
                     f"{self.PREFETCH_SYSFS_DIR}/thread{tid}/{knob}",
-                    read=self._pf_reader(core, tid, knob),
-                    write=self._pf_writer(core, tid, knob))
+                    *prefetch_file(core, tid, knob))
 
     def kernel_entry(self, core: SMTCore) -> None:
         """Patched: kernel entries do NOT touch thread priorities."""
@@ -69,72 +129,22 @@ class PatchedKernel(StockLinuxKernel):
     def idle(self, core: SMTCore, thread_id: int) -> None:
         """Patched: internal priority uses are removed (no-op)."""
 
-    def set_priority(self, core: SMTCore, thread_id: int,
-                     priority: int) -> None:
+    @staticmethod
+    def set_priority(core: SMTCore, thread_id: int, priority: int) -> None:
         """The patch's privileged path: any level 0..7.
 
-        1-6 are applied at supervisor privilege; 0 and 7 are forwarded
-        to the hypervisor, as the paper describes.  An applied change
-        counts as a ``PM_PRIO_CHANGE`` event on the target thread,
-        just like an in-trace priority nop: both are software acting
-        on the same hardware knob.  Like a priority nop, a change
-        issued mid-measurement (e.g. from a periodic hook) takes
-        effect at the next decode boundary -- the slot arbitration of
-        the cycle in flight is already decided.
+        1-6 are applied at supervisor privilege; 0 and 7 need the
+        hypervisor, as the paper describes.  The write goes through
+        :meth:`SMTCore.request_priority`, so it counts as a
+        ``PM_PRIO_CHANGE`` and takes effect at the next decode
+        boundary, like an in-trace priority nop.  An unknown thread or
+        level raises :class:`ValueError`.
         """
+        if thread_id not in (0, 1):
+            raise ValueError(f"no such thread: {thread_id}")
         level = PriorityLevel(priority)
-        if level in (PriorityLevel.THREAD_OFF, PriorityLevel.VERY_HIGH):
-            assert self._hypervisor is not None, "kernel not installed"
-            self._hypervisor.h_set_priority(thread_id, level)
-            return
-        if core.interface.request(thread_id, level,
-                                  PrivilegeLevel.SUPERVISOR):
-            th = core._threads[thread_id]
-            if th is not None:
-                th.priority_changes += 1
-        core._rebuild_arbiter()
-
-    def _reader(self, core: SMTCore, tid: int):
-        def read() -> str:
-            return str(int(core.interface.priority(tid)))
-        return read
-
-    def _writer(self, core: SMTCore, tid: int):
-        def write(value: str) -> None:
-            try:
-                level = int(value.strip())
-            except ValueError:
-                raise SysFSError(f"invalid priority: {value!r}") from None
-            if not 0 <= level <= 7:
-                raise SysFSError(f"priority out of range: {level}")
-            self.set_priority(core, tid, level)
-        return write
-
-    def _pf_reader(self, core: SMTCore, tid: int, knob: str):
-        def read() -> str:
-            pf = core.hierarchy.prefetcher
-            if knob == "enable":
-                return str(int(pf.on[tid]))
-            return str(pf.depth[tid] if knob == "depth" else pf.degree[tid])
-        return read
-
-    def _pf_writer(self, core: SMTCore, tid: int, knob: str):
-        def write(value: str) -> None:
-            try:
-                v = int(value.strip())
-            except ValueError:
-                raise SysFSError(
-                    f"invalid prefetch {knob}: {value!r}") from None
-            pf = core.hierarchy.prefetcher
-            try:
-                if knob == "enable":
-                    if v not in (0, 1):
-                        raise ValueError(f"enable must be 0 or 1, got {v}")
-                    pf.set_enable(tid, bool(v))
-                elif knob == "depth":
-                    pf.set_depth(tid, v)
-                else:
-                    pf.set_degree(tid, v)
-            except ValueError as exc:
-                raise SysFSError(str(exc)) from None
-        return write
+        privilege = (PrivilegeLevel.HYPERVISOR
+                     if level in (PriorityLevel.THREAD_OFF,
+                                  PriorityLevel.VERY_HIGH)
+                     else PrivilegeLevel.SUPERVISOR)
+        core.request_priority(thread_id, level, privilege)

@@ -152,7 +152,10 @@ class TestPriorityEffects:
 class TestPriorityNops:
     def _source_with_nop(self, priority):
         b = TraceBuilder()
-        b.priority_nop(priority)
+        if priority is None:
+            b.nop()
+        else:
+            b.priority_nop(priority)
         for _ in range(63):
             b.fx(2)
         return FixedTraceSource(b.build("prio_nop"))
@@ -163,6 +166,7 @@ class TestPriorityNops:
                   privileges=(PrivilegeLevel.USER, PrivilegeLevel.USER))
         core.step(500)
         assert core.priorities[0] == 2
+        assert core.thread(0).priority_changes >= 1
 
     def test_silently_ignored_without_privilege(self, config):
         core = SMTCore(config)
@@ -170,6 +174,7 @@ class TestPriorityNops:
                   privileges=(PrivilegeLevel.USER, PrivilegeLevel.USER))
         core.step(500)
         assert core.priorities[0] == 4  # unchanged
+        assert core.thread(0).priority_changes == 0
 
     def test_supervisor_may_raise_to_six(self, config):
         core = SMTCore(config)
@@ -178,6 +183,24 @@ class TestPriorityNops:
                               PrivilegeLevel.USER))
         core.step(500)
         assert core.priorities[0] == 6
+        assert core.thread(0).priority_changes >= 1
+
+    def test_plain_nop_is_ignored(self, config):
+        core = SMTCore(config)
+        core.load([self._source_with_nop(None), fx_source("b")],
+                  privileges=(PrivilegeLevel.HYPERVISOR,
+                              PrivilegeLevel.USER))
+        core.step(500)
+        assert core.priorities == (4, 4)
+        assert core.thread(0).priority_changes == 0
+
+    def test_request_priority_counts_only_applied(self, config):
+        core = SMTCore(config)
+        core.load([fx_source("a"), fx_source("b")])
+        assert not core.request_priority(1, 6, PrivilegeLevel.USER)
+        assert core.request_priority(1, 6, PrivilegeLevel.SUPERVISOR)
+        assert core.priorities == (4, 6)
+        assert [core.thread(t).priority_changes for t in (0, 1)] == [0, 1]
 
     def test_nop_change_affects_arbitration(self, config):
         core = SMTCore(config)

@@ -133,18 +133,17 @@ def test_redundant_write_counted_like_nop(configs):
 
 
 def test_hypervisor_call_counts_too(configs):
-    """The hcall actuation path shares the PM_PRIO_CHANGE semantics."""
-    from repro.syskernel import Hypervisor
-
+    """Levels 0 and 7 (hypervisor privilege) share the PM_PRIO_CHANGE
+    semantics of the sysfs levels."""
     config = configs[0]
     core = SMTCore(config)
     core.load([make_microbenchmark("cpu_int", config),
                make_microbenchmark("cpu_fp", config,
                                    base_address=SECONDARY_BASE)],
               priorities=BEFORE)
-    hv = Hypervisor(core)
-    hv.h_set_priority(0, 6)
+    PatchedKernel.set_priority(core, 0, 7)
     assert core.thread(0).priority_changes == 1
+    assert core.thread(1).priority_changes == 0
 
 
 def test_sysfs_equivalent_to_direct_set(configs):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.isa import encode_priority_nop, nop
 from repro.priority import (
     ALLOWED_PRIORITIES,
     DEFAULT_PRIORITY,
@@ -81,30 +80,6 @@ class TestPriorityInterface:
         iface = PriorityInterface()
         assert not iface.request(0, 6, PrivilegeLevel.USER)
         assert iface.priority(0) is PriorityLevel.MEDIUM
-
-    def test_history_records_everything(self):
-        iface = PriorityInterface()
-        iface.request(0, 3, PrivilegeLevel.USER)
-        iface.request(1, 6, PrivilegeLevel.USER)
-        assert len(iface.history) == 2
-        assert [r.applied for r in iface.history] == [True, False]
-        assert len(iface.applied_requests()) == 1
-
-    def test_execute_nop_with_privilege(self):
-        iface = PriorityInterface()
-        ins = encode_priority_nop(6)
-        assert iface.execute_nop(0, ins, PrivilegeLevel.SUPERVISOR)
-        assert int(iface.priority(0)) == 6
-
-    def test_execute_nop_without_privilege_is_silent(self):
-        iface = PriorityInterface()
-        ins = encode_priority_nop(6)
-        assert not iface.execute_nop(0, ins, PrivilegeLevel.USER)
-        assert int(iface.priority(0)) == 4
-
-    def test_execute_plain_nop_does_nothing(self):
-        iface = PriorityInterface()
-        assert not iface.execute_nop(0, nop(), PrivilegeLevel.HYPERVISOR)
 
     def test_reset_to_default(self):
         iface = PriorityInterface((6, 2))

@@ -1,4 +1,4 @@
-"""Tests for the OS layer: stock kernel, patch, sysfs, hcalls."""
+"""Tests for the OS layer: stock kernel, patch, sysfs."""
 
 import pytest
 
@@ -6,8 +6,6 @@ from repro.core import SMTCore
 from repro.isa import FixedTraceSource, TraceBuilder
 from repro.priority.levels import PriorityLevel
 from repro.syskernel import (
-    Hypervisor,
-    HypervisorError,
     PatchedKernel,
     StockLinuxKernel,
     SysFS,
@@ -57,6 +55,12 @@ class TestStockKernel:
         assert core.priorities == (4, 1)
         kernel.resume_work(core, 1)
         assert core.priorities == (4, 4)
+
+    def test_internal_use_counts_prio_change(self, config):
+        core = loaded_core(config)
+        StockLinuxKernel().spin_lock_wait(core, 1)
+        assert core.thread(1).priority_changes == 1
+        assert core.thread(0).priority_changes == 0
 
     def test_idle_lowers_priority(self, config):
         core = loaded_core(config)
@@ -124,6 +128,18 @@ class TestPatchedKernel:
         with pytest.raises(SysFSError):
             kernel.sysfs.write(path, "9")
 
+    def test_file_of_dropped_core_raises(self, config):
+        core = loaded_core(config)
+        kernel = PatchedKernel()
+        kernel.install(core)
+        del core
+        for path in (f"{PatchedKernel.SYSFS_DIR}/thread0",
+                     f"{PatchedKernel.PREFETCH_SYSFS_DIR}/thread1/depth"):
+            with pytest.raises(SysFSError):
+                kernel.sysfs.read(path)
+            with pytest.raises(SysFSError):
+                kernel.sysfs.write(path, "2")
+
     def test_sysfs_lists_both_threads(self, config):
         core = loaded_core(config)
         kernel = PatchedKernel()
@@ -152,37 +168,36 @@ class TestSysFS:
 
 
 class TestHypervisor:
+    """Levels 0 and 7 need hypervisor privilege; the patched kernel's
+    ``set_priority`` grants it, and counts every applied write."""
+
     def test_h_set_priority_full_range(self, config):
         core = loaded_core(config)
-        hv = Hypervisor(core)
-        hv.h_set_priority(0, 7)
+        PatchedKernel.set_priority(core, 0, 7)
         assert core.priorities[0] == 7
-        hv.h_set_priority(0, 0)
+        PatchedKernel.set_priority(core, 0, 0)
         assert core.priorities[0] == 0
+        assert core.thread(0).priority_changes == 2
+        assert core.thread(1).priority_changes == 0
 
     def test_h_thread_off(self, config):
         core = loaded_core(config)
-        Hypervisor(core).h_thread_off(1)
+        PatchedKernel.set_priority(core, 1, 0)
         assert core.priorities[1] == 0
 
     def test_h_single_thread_mode(self, config):
         core = loaded_core(config)
-        Hypervisor(core).h_single_thread_mode(0)
+        PatchedKernel.set_priority(core, 1, 0)
+        PatchedKernel.set_priority(core, 0, 7)
         assert core.priorities == (7, 0)
 
     def test_validation(self, config):
         core = loaded_core(config)
-        hv = Hypervisor(core)
-        with pytest.raises(HypervisorError):
-            hv.h_set_priority(2, 4)
-        with pytest.raises(HypervisorError):
-            hv.h_set_priority(0, 8)
-
-    def test_calls_recorded(self, config):
-        core = loaded_core(config)
-        hv = Hypervisor(core)
-        hv.h_set_priority(0, 7)
-        assert hv.calls == [("h_set_priority", 0, 7)]
+        with pytest.raises(ValueError):
+            PatchedKernel.set_priority(core, 2, 4)
+        with pytest.raises(ValueError):
+            PatchedKernel.set_priority(core, 0, 8)
+        assert core.priorities == (4, 4)
 
 
 class TestKernelEffectOnMeasurement:
