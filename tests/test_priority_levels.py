@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.isa import decode_priority_nop, encode_priority_nop
 from repro.priority import (
     ALLOWED_PRIORITIES,
     DEFAULT_PRIORITY,
@@ -80,6 +81,20 @@ class TestPriorityInterface:
         iface = PriorityInterface()
         assert not iface.request(0, 6, PrivilegeLevel.USER)
         assert iface.priority(0) is PriorityLevel.MEDIUM
+
+    def test_execute_nop_with_privilege(self):
+        # The core decodes an ``or X,X,X`` nop to its level and requests
+        # it at the issuing thread's privilege.
+        iface = PriorityInterface()
+        level = decode_priority_nop(encode_priority_nop(6))
+        assert iface.request(0, level, PrivilegeLevel.SUPERVISOR)
+        assert int(iface.priority(0)) == 6
+
+    def test_execute_nop_without_privilege_is_silent(self):
+        iface = PriorityInterface()
+        level = decode_priority_nop(encode_priority_nop(6))
+        assert not iface.request(0, level, PrivilegeLevel.USER)
+        assert int(iface.priority(0)) == 4
 
     def test_reset_to_default(self):
         iface = PriorityInterface((6, 2))
