@@ -135,7 +135,9 @@ class CoreConfig:
     # trace into per-group kernels and runs the inlined decode/issue/
     # retire loop of :class:`repro.core.ArraySMTCore`; ``"object"`` is
     # the reference loop that walks per-instruction tuples through
-    # ``SMTCore._decode_slot``.  Both step one cycle at a time.
+    # ``SMTCore._decode_slot``.  The object engine steps one cycle at
+    # a time; the array engine also credits quiet spans (no group can
+    # dispatch, retire or flush) in closed form.
     # The switch never changes simulated behaviour -- both engines are
     # bit-identical on every counter -- so it is excluded from the
     # fingerprint and the object engine stays available as the

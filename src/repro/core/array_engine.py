@@ -39,9 +39,33 @@ object engine remains the differential reference;
 the full microbenchmark x priority matrix and the pipelines.
 Kernel lists come from the process-wide factory cache in
 :mod:`repro.workloads.tracecache` (see :class:`ArrayThread`).
+
+**Quiet spans.**  Memory-bound pairs, the balancer's stall/flush/
+throttle and priority-1 low-power decode leave the core with nothing
+to do for long stretches.  After a cycle whose decode dispatched
+nothing (and with no retire due within ``_MIN_SPAN`` cycles), the loop
+finds the first cycle ``t`` at which anything but a slot counter can
+change: the next retire, balancer window, hook or end of ``step``; the
+first cycle a flush can fire (it needs redirect expiry and grows no
+likelier as the oldest completion nears); the first slot that goes to
+a thread that could dispatch (at redirect expiry, at a throttled
+thread's every ``throttle_interval``-th owned slot, or at once).
+Until ``t`` GCT use, completions, thread availability and the
+balancer's stall and throttle flags hold still -- the loop checks that
+the stall flags are a fixed point -- so every slot ends in its owner's
+current blocking reason, and the loop credits the span in closed form:
+each thread's owned, wasted and per-cause lost slots grow by its slot
+count, read from per-period slot offsets of the dispatch table
+(throttle slots that meet a full GCT count as GCT-lost), and a stalled
+thread's balancer stall cycles by the span's length.  Unit-pool GC is
+bookkeeping and runs on landing.  A repetition gate may read ``now``,
+so gated runs never skip.  ``skipped_cycles`` counts the credited
+cycles.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from repro.config import CoreConfig
 from repro.core.smt_core import SMTCore
@@ -58,6 +82,15 @@ _UNBOUND = object()
 
 #: "No completion pending" for the step loop's next-completion locals.
 _BIG = 1 << 62
+
+#: Shortest quiet span the step loop credits arithmetically (shorter
+#: ones cost more to credit than to simulate), and how far off both
+#: threads' next retire must be for a quiet decode to try one.
+_MIN_SPAN = 3
+
+#: (prio_p, prio_s, low_power_interval) -> (dispatch table, slot
+#: schedules) of that arbiter; see ``ArraySMTCore._array_locals``.
+_TABLES: dict[tuple, tuple] = {}
 
 #: ``ArraySMTCore._fill`` of an empty context: zero counters, not
 #: stalled or throttled, nothing to decode or retire, no kernels.
@@ -128,13 +161,9 @@ class ArraySMTCore(SMTCore):
 
     def __init__(self, config: CoreConfig | None = None):
         super().__init__(config)
-        # Compiled per-priority dispatch table: slot owner for one full
-        # period of the current arbiter's rotation.  Invalidated by
-        # _rebuild_arbiter so priority nops, sysfs writes and governor
-        # actuations land at the next decode boundary exactly as in
-        # the object engine.
-        self._dispatch_tab: list | None = None
-        self._dispatch_arb = None
+        #: Cycles the step loop credited arithmetically instead of
+        #: simulating (quiet-span fast-forward) since the last ``load``.
+        self.skipped_cycles = 0
         # Group width -> baked kernel constants.
         self._kern_consts: dict[int, KernelConsts] = {}
 
@@ -142,9 +171,9 @@ class ArraySMTCore(SMTCore):
                      privilege: PrivilegeLevel) -> ArrayThread:
         return ArrayThread(thread_id, source, privilege)
 
-    def _rebuild_arbiter(self) -> None:
-        self._dispatch_tab = None
-        super()._rebuild_arbiter()
+    def load(self, *args, **kwargs) -> None:
+        super().load(*args, **kwargs)
+        self.skipped_cycles = 0
 
     def _consts(self, width: int) -> KernelConsts:
         consts = self._kern_consts.get(width)
@@ -208,11 +237,23 @@ class ArraySMTCore(SMTCore):
 
     def _array_locals(self):
         """Arbiter-derived hot-loop locals: the arbiter, priorities,
-        decode width and dispatch table (its length, whether constant,
-        first owner).  The table maps ``cycle % len(table)`` to the
-        owning thread id (or None) -- every arbiter mode's owner pattern
-        is periodic with the period used here, which ``owner()`` itself
-        guarantees since the table is built by evaluating it.
+        decode width, dispatch table (its length, whether constant,
+        first owner) and slot schedules, re-read whenever the arbiter
+        changes (a priority nop, sysfs write or governor actuation
+        lands at the next decode boundary, as in the object engine).
+        The table maps ``cycle % len(table)`` to the owning thread id
+        (or None) -- every arbiter mode's owner pattern is periodic
+        with the period used here, which ``owner()`` itself guarantees
+        since the table is built by evaluating it.  The table and the
+        schedules depend only on the arbiter's parameters, so each is
+        built once per process.  ``sched[avail0 + 2 * avail1]`` holds,
+        per thread, the slots it decodes in while exactly those threads
+        have instructions (a slot whose owner has none passes to the
+        sibling): ``(m, cum, offs)``, the sorted table offsets ``offs``
+        of its ``m`` slots per period and ``cum[r]``, how many of them
+        lie before offset ``r``.  Slot ``g`` (counting from cycle 0)
+        then falls on cycle ``g // m * period + offs[g % m]``, and
+        ``c // period * m + cum[c % period]`` slots precede cycle ``c``.
         """
         arb = self._arbiter
         mode = arb.mode
@@ -220,8 +261,9 @@ class ArraySMTCore(SMTCore):
             width = 1
         else:
             width = self.config.decode_width
-        tab = self._dispatch_tab
-        if tab is None or self._dispatch_arb is not arb:
+        key = (arb.prio_p, arb.prio_s, arb.low_power_interval)
+        tables = _TABLES.get(key)
+        if tables is None:
             if mode is ArbiterMode.NORMAL:
                 period = arb._ratio
             elif mode is ArbiterMode.LOW_POWER:
@@ -232,11 +274,21 @@ class ArraySMTCore(SMTCore):
                 period = 1
             owner = arb.owner
             tab = [owner(c) for c in range(period)]
-            self._dispatch_tab = tab
-            self._dispatch_arb = arb
+            own0, own1, both = [], [], []
+            for k, o in enumerate(tab):
+                if o is not None:
+                    both.append(k)
+                    (own1 if o else own0).append(k)
+            own0, own1, both = (
+                (len(offs), [bisect_left(offs, r) for r in range(period)],
+                 offs) for offs in (own0, own1, both))
+            none = (0, None, None)
+            sched = ((none, none), (both, none), (none, both), (own0, own1))
+            tables = _TABLES[key] = (tab, sched)
+        tab, sched = tables
         prio_p, prio_s = self.priorities
         return (arb, prio_p, prio_s, width, tab, len(tab), len(tab) == 1,
-                tab[0])
+                tab[0], sched)
 
     def _fill(self, th: ArrayThread | None, width: int) -> tuple:
         """Step-loop locals of ``th`` (``_EMPTY`` for no context): the
@@ -286,11 +338,21 @@ class ArraySMTCore(SMTCore):
         #                                  unkernelizable traces)
         gate_on = self._rep_gate is not None
         gate_open = self._gate_open
+        # Quiet-span fast-forward (see the slow block): a decode that
+        # dispatches nothing raises ``slow`` when no retire is due within
+        # ``min_span`` cycles, from cycle ``retry`` on; an attempt that
+        # finds a shorter span moves ``retry`` to its bound, before which
+        # nothing moves.  A repetition gate may read ``now``, so gated
+        # runs never skip.
+        retry = _BIG if gate_on else 0
+        min_span = _MIN_SPAN
+        stall_on = stall_en and bal_on
+        flush_on = flush_en and bal_on
         fill = self._fill
         BIG = _BIG
 
-        (arbiter, prio_p, prio_s, dec_width, tab, tab_len, one,
-         tid0) = self._array_locals()
+        (arbiter, prio_p, prio_s, dec_width, tab, tab_len, one, tid0,
+         sched) = self._array_locals()
 
         # Hot per-thread state lives in locals (in ``_fill`` order).  A
         # sync is one ``spill_hot`` before anything that can observe a
@@ -314,15 +376,8 @@ class ArraySMTCore(SMTCore):
         # One folded deadline gates the three per-cycle bookkeeping
         # checks (unit-pool GC, balancer window, periodic hooks): each
         # component only moves inside a ``slow`` iteration, so the
-        # deadline is recomputed there and nowhere else.
-        due = next_gc
-        if bal_on:
-            nw = bal.next_window
-            if nw < due:
-                due = nw
-        nh = self._next_hook
-        if 0 <= nh < due:
-            due = nh
+        # deadline is recomputed there, starting with the first.
+        due = now
         while now < end:
             slow = now >= due
             if slow and now >= next_gc:
@@ -355,14 +410,26 @@ class ArraySMTCore(SMTCore):
                     if su0 > now:
                         ws0 += 1
                         ls0 += 1
+                        if (now >= retry and nc0 - now > min_span
+                                and nc1 - now > min_span):
+                            slow = True
                     elif bst0:
                         ws0 += 1
                         lb0 += 1
+                        if (now >= retry and nc0 - now > min_span
+                                and nc1 - now > min_span):
+                            slow = True
                     elif thr0 and own0 % thr_interval:
                         ws0 += 1
                         lt0 += 1
+                        if (now >= retry and nc0 - now > min_span
+                                and nc1 - now > min_span):
+                            slow = True
                     elif gct_used >= gct_groups:
                         lg0 += 1
+                        if (now >= retry and nc0 - now > min_span
+                                and nc1 - now > min_span):
+                            slow = True
                     else:
                         p = pos0
                         k = (kern0[p]
@@ -403,7 +470,8 @@ class ArraySMTCore(SMTCore):
                             gct_used = self._gct_used
                             if arbiter is not self._arbiter:
                                 (arbiter, prio_p, prio_s, dec_width, tab,
-                                 tab_len, one, tid0) = self._array_locals()
+                                 tab_len, one, tid0,
+                                 sched) = self._array_locals()
                                 kern1 = self._live_kernels(t1, dec_width)
                             (own0, gh0, ret0, dec0, grp0, opw0, fuw0, ws0, lg0,
                              ls0, lb0, lt0, mis0, su0, pos0, bst0, thr0, rep0,
@@ -413,14 +481,26 @@ class ArraySMTCore(SMTCore):
                     if su1 > now:
                         ws1 += 1
                         ls1 += 1
+                        if (now >= retry and nc0 - now > min_span
+                                and nc1 - now > min_span):
+                            slow = True
                     elif bst1:
                         ws1 += 1
                         lb1 += 1
+                        if (now >= retry and nc0 - now > min_span
+                                and nc1 - now > min_span):
+                            slow = True
                     elif thr1 and own1 % thr_interval:
                         ws1 += 1
                         lt1 += 1
+                        if (now >= retry and nc0 - now > min_span
+                                and nc1 - now > min_span):
+                            slow = True
                     elif gct_used >= gct_groups:
                         lg1 += 1
+                        if (now >= retry and nc0 - now > min_span
+                                and nc1 - now > min_span):
+                            slow = True
                     else:
                         p = pos1
                         k = (kern1[p]
@@ -459,11 +539,20 @@ class ArraySMTCore(SMTCore):
                             gct_used = self._gct_used
                             if arbiter is not self._arbiter:
                                 (arbiter, prio_p, prio_s, dec_width, tab,
-                                 tab_len, one, tid0) = self._array_locals()
+                                 tab_len, one, tid0,
+                                 sched) = self._array_locals()
                                 kern0 = self._live_kernels(t0, dec_width)
                             (own1, gh1, ret1, dec1, grp1, opw1, fuw1, ws1, lg1,
                              ls1, lb1, lt1, mis1, su1, pos1, bst1, thr1, rep1,
                              n1, avail1, nc1, kern1) = fill(t1, dec_width)
+                else:
+                    if (now >= retry and nc0 - now > min_span
+                            and nc1 - now > min_span):
+                        slow = True
+            else:
+                if (now >= retry and nc0 - now > min_span
+                        and nc1 - now > min_span):
+                    slow = True
 
             # -- retire (in order, one group per thread per cycle) -----
             if nc0 <= now:
@@ -587,7 +676,7 @@ class ArraySMTCore(SMTCore):
                 gct_used = self._gct_used
                 if arbiter is not self._arbiter:
                     (arbiter, prio_p, prio_s, dec_width, tab, tab_len, one,
-                     tid0) = self._array_locals()
+                     tid0, sched) = self._array_locals()
                 (own0, gh0, ret0, dec0, grp0, opw0, fuw0, ws0, lg0, ls0, lb0,
                  lt0, mis0, su0, pos0, bst0, thr0, rep0, n0, avail0, nc0,
                  kern0) = fill(t0, dec_width)
@@ -596,14 +685,132 @@ class ArraySMTCore(SMTCore):
                  kern1) = fill(t1, dec_width)
 
             if slow:
-                due = next_gc
-                if bal_on:
-                    nw = bal.next_window
-                    if nw < due:
-                        due = nw
-                nh = self._next_hook
-                if 0 <= nh < due:
-                    due = nh
+                if now >= due:
+                    # The balancer window and the hooks are hard
+                    # deadlines; unit-pool GC is bookkeeping and may
+                    # run late, on landing from a span.
+                    hard = end
+                    if bal_on and bal.next_window < hard:
+                        hard = bal.next_window
+                    nh = self._next_hook
+                    if 0 <= nh < hard:
+                        hard = nh
+                    due = next_gc if next_gc < hard else hard
+                # -- quiet-span fast-forward ---------------------------
+                # Find the first cycle ``t`` > ``now`` at which anything
+                # but a slot counter can change, and credit ``[now+1,
+                # t)`` arithmetically.  Until ``t`` no group retires
+                # (``nc``) and no deadline passes, so GCT use,
+                # completions, availability and the balancer and
+                # throttle flags hold still; each slot then ends in its
+                # owner's current blocking reason, and ``t`` stops at
+                # the first slot whose owner could dispatch.
+                if now >= retry:
+                    s = now + 1
+                    t = hard if hard < nc0 else nc0
+                    if nc1 < t:
+                        t = nc1
+                    if t - s >= min_span and stall_on and (
+                            ((not avail1 or gh0 <= resume_thr) if bst0
+                             else avail1 and gh0 > stall_thr)
+                            or ((not avail0 or gh1 <= resume_thr) if bst1
+                                else avail0 and gh1 > stall_thr)):
+                        t = s  # a balancer stall flag is about to move
+                    if t - s >= min_span:
+                        gct_full = gct_used >= gct_groups
+                        ((m0, cum0, offs0),
+                         (m1, cum1, offs1)) = sched[avail0 + 2 * avail1]
+                        # A slot wakes its owner at redirect expiry, at
+                        # the throttle's every ``thr_interval``-th owned
+                        # slot, or at once -- unless a balancer stall or
+                        # a full GCT blocks it until a retire.
+                        if m0:
+                            if su0 > s:
+                                if su0 < t:
+                                    t = su0
+                            elif not bst0 and not gct_full:
+                                g = (s // tab_len * m0 + cum0[s % tab_len]
+                                     + (thr_interval - 1
+                                        - own0 % thr_interval if thr0
+                                        else 0))
+                                w = g // m0 * tab_len + offs0[g % m0]
+                                if w < t:
+                                    t = w
+                        if m1:
+                            if su1 > s:
+                                if su1 < t:
+                                    t = su1
+                            elif not bst1 and not gct_full:
+                                g = (s // tab_len * m1 + cum1[s % tab_len]
+                                     + (thr_interval - 1
+                                        - own1 % thr_interval if thr1
+                                        else 0))
+                                w = g // m1 * tab_len + offs1[g % m1]
+                                if w < t:
+                                    t = w
+                        # A flush waits for redirect expiry (``su``) and
+                        # gets no likelier as the oldest completion nears.
+                        if flush_on and gct_used >= gct_floor:
+                            if (avail1 and gh0 and gh0 >= flush_thr
+                                    and prio_p <= prio_s):
+                                w = su0 if su0 > s else s
+                                if w < t and nc0 > w + horizon:
+                                    t = w
+                            if (avail0 and gh1 and gh1 >= flush_thr
+                                    and prio_s <= prio_p):
+                                w = su1 if su1 > s else s
+                                if w < t and nc1 > w + horizon:
+                                    t = w
+                    if t - s < min_span:
+                        retry = t
+                    else:
+                        span = t - s
+                        wraps = t // tab_len - s // tab_len
+                        if m0:
+                            got = (wraps * m0 + cum0[t % tab_len]
+                                   - cum0[s % tab_len])
+                            if su0 > s:
+                                ws0 += got
+                                ls0 += got
+                            elif bst0:
+                                ws0 += got
+                                lb0 += got
+                            elif thr0:
+                                # Every thr_interval-th owned slot meets
+                                # the full GCT instead.
+                                full = ((own0 + got) // thr_interval
+                                        - own0 // thr_interval)
+                                lg0 += full
+                                ws0 += got - full
+                                lt0 += got - full
+                            else:
+                                lg0 += got
+                            own0 += got
+                        if m1:
+                            got = (wraps * m1 + cum1[t % tab_len]
+                                   - cum1[s % tab_len])
+                            if su1 > s:
+                                ws1 += got
+                                ls1 += got
+                            elif bst1:
+                                ws1 += got
+                                lb1 += got
+                            elif thr1:
+                                full = ((own1 + got) // thr_interval
+                                        - own1 // thr_interval)
+                                lg1 += full
+                                ws1 += got - full
+                                lt1 += got - full
+                            else:
+                                lg1 += got
+                            own1 += got
+                        if stall_on:
+                            if bst0:
+                                stall_cycles[0] += span
+                            if bst1:
+                                stall_cycles[1] += span
+                        self.skipped_cycles += span
+                        now = t - 1
 
             now += 1
 

@@ -40,10 +40,11 @@ class UnitPool:
         self.total_wait = 0
 
     def reset(self) -> None:
-        """Free all units and zero statistics."""
+        """Free all units and zero statistics, in place (compiled
+        kernels bind ``thread_issues`` itself)."""
         self._occupied.clear()
         self.issues = 0
-        self.thread_issues = [0, 0]
+        self.thread_issues[:] = (0, 0)
         self.total_wait = 0
 
     def issue(self, earliest: int, thread_id: int = 0) -> int:

@@ -23,9 +23,10 @@ minimal allocation): full experiment sweeps simulate hundreds of
 millions of cycles.
 
 This object engine is the per-cycle reference.  The compiled array
-engine (:mod:`repro.core.array_engine`) shares its semantics and steps
-cycle by cycle too; the differential suites assert that both engines
-are bit-identical.
+engine (:mod:`repro.core.array_engine`) shares its semantics, steps
+cycle by cycle too and credits quiet spans (no group can dispatch,
+retire or flush) in closed form; the differential suites assert that
+both engines are bit-identical.
 """
 
 from __future__ import annotations

@@ -48,7 +48,8 @@ class FameResult:
 class FameRunner:
     """Drives :class:`SMTCore` to a FAME-convergent measurement."""
 
-    #: Always False (no engine skips cycles); kept for the benchmark's
+    #: Always False (the steady-state telescoper it reported is gone;
+    #: quiet spans are not telescoped jumps); kept for the benchmark's
     #: span tracer, which reads it after every single-thread run.
     last_steady_state = False
 

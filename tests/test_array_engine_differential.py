@@ -377,3 +377,25 @@ def test_governor_experiment_serial_jobs_backend_identical(tmp_path):
     finally:
         handle.stop()
     assert repr(remote) == repr(serial)
+
+
+@pytest.mark.parametrize("primary, secondary, priorities, low, high", [
+    # Memory-bound pairs: both threads wait on DRAM misses, a full GCT
+    # or the balancer for most cycles.
+    ("ldint_mem", "ldint_mem", (4, 4), 0.5, 1.0),
+    ("cpu_int", "ldint_mem", (2, 6), 0.5, 1.0),
+    # A compute pair dispatches or retires in nearly every cycle.
+    ("cpu_int", "cpu_fp", (4, 4), 0.0, 0.01),
+])
+def test_quiet_spans_engage(primary, secondary, priorities, low, high):
+    """The array engine credits quiet spans arithmetically: if that
+    silently stops engaging (or starts where it cannot pay), this
+    fails, while the differential suites only see equal results."""
+    config = POWER5.small()
+    core = make_core(config)
+    core.load([make_microbenchmark(primary, config),
+               make_microbenchmark(secondary, config,
+                                   base_address=SECONDARY_BASE)],
+              priorities=priorities)
+    core.step(200_000)
+    assert low <= core.skipped_cycles / core.cycle <= high

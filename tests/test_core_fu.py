@@ -43,6 +43,16 @@ class TestUnitPool:
         pool.issue(0, thread_id=1)
         assert pool.thread_issues == [0, 1]
 
+    def test_reset_clears_thread_issues_in_place(self):
+        """Compiled kernels bind the list itself, so a reset must not
+        replace it."""
+        pool = UnitPool("FXU", 2)
+        issues = pool.thread_issues
+        pool.issue(0, thread_id=1)
+        pool.reset()
+        assert pool.thread_issues is issues
+        assert issues == [0, 0]
+
     def test_collect_prunes_stale_entries(self):
         pool = UnitPool("FXU", 1)
         for t in range(100):

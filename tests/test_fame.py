@@ -116,7 +116,7 @@ class TestFameRunner:
 
     @pytest.mark.parametrize("engine", ["array", "object"])
     def test_last_steady_state_is_false(self, config, bench, engine):
-        """No engine skips cycles; span tracers still read the flag."""
+        """No run is telescoped; span tracers still read the flag."""
         cfg = config.replace(engine=engine)
         runner = FameRunner(cfg, min_repetitions=3)
         runner.run_single(bench("cpu_int"))

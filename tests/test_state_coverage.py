@@ -20,15 +20,16 @@ from repro.microbench import make_microbenchmark
 from repro.prefetch import PrefetchConfig
 
 #: Subsystem class name -> attributes that are not state (config,
-#: wiring, hoisted constants, and caches or aliases of compared state);
-#: a class inherits its bases' entries.  The arbiter is a function of
-#: the interface's priorities, a thread's ``trace`` of its ``source``
-#: and ``rep_index``.
+#: wiring, hoisted constants, caches or aliases of compared state, and
+#: the simulator's own statistics, like the array engine's
+#: ``skipped_cycles``); a class inherits its bases' entries.  The
+#: arbiter is a function of the interface's priorities, a thread's
+#: ``trace`` of its ``source`` and ``rep_index``.
 NON_STATE = {
     "SMTCore": {"config", "_rep_gate", "_tracer", "_arbiter", "_dec_consts",
                 "_fxu_pool", "_lsu_pool", "_fpu_pool", "_bxu_issue",
                 "_hier_load", "_hier_store"},
-    "ArraySMTCore": {"_dispatch_tab", "_dispatch_arb", "_kern_consts"},
+    "ArraySMTCore": {"_kern_consts", "skipped_cycles"},
     "HardwareThread": {"thread_id", "source", "privilege", "trace"},
     "ArrayThread": {"_rep_obj", "_bound_trace", "_trace_tuple", "kernels",
                     "_kern_width", "_kern_cache"},
