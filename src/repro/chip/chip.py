@@ -26,7 +26,6 @@ from collections.abc import Sequence
 from repro.chip.bus import CorePort, SharedChipBus
 from repro.chip.config import ChipConfig
 from repro.core import SMTCore, make_core
-from repro.core.smt_core import RepGate
 
 
 class Chip:
@@ -57,8 +56,8 @@ class Chip:
 
     def load_core(self, core_id: int, sources: Sequence,
                   priorities: tuple[int, int] = (4, 4),
-                  privileges: tuple[str, str] = ("user", "user"),
-                  rep_gate: RepGate | None = None) -> SMTCore:
+                  privileges: tuple[str, str] = ("user", "user")
+                  ) -> SMTCore:
         """(Re)load one core with new workloads and mark it active.
 
         The core's local clock restarts at 0; the chip records the
@@ -66,8 +65,7 @@ class Chip:
         grants land in chip-global time.
         """
         core = self.cores[core_id]
-        core.load(sources, priorities=priorities, privileges=privileges,
-                  rep_gate=rep_gate)
+        core.load(sources, priorities=priorities, privileges=privileges)
         self._offsets[core_id] = self.now
         port = self._ports[core_id]
         if port is not None:

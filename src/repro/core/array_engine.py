@@ -30,15 +30,19 @@ anything else calls the hierarchy), and every group the kernels
 *cannot* express -- groups containing a priority nop, traces with
 dynamic group extents -- falls back to the inherited
 ``SMTCore._decode_slot``, which is the reference implementation
-itself.  Repetition-gated runs (the software
-pipeline) stay on the kernels: the loop polls the gate at decode
-exactly where the object engine does.  Only instrumented runs
-(pipeline tracer) route to the inherited step loop wholesale.  The
-object engine remains the differential reference;
+itself.  Runs with repetition leads (the software pipeline) stay on
+the kernels: a thread's lead is an integer compare folded into its
+decode-availability local, re-evaluated only where its terms move (a
+repetition advance, a sibling's repetition-end retire, a sync).  Only
+instrumented runs (pipeline tracer) route to the inherited step loop
+wholesale.  The object engine remains the differential reference;
 ``tests/test_array_engine_differential`` asserts bit-identity across
 the full microbenchmark x priority matrix and the pipelines.
-Kernel lists come from the process-wide factory cache in
-:mod:`repro.workloads.tracecache` (see :class:`ArrayThread`).
+Kernel factories come from the process-wide cache in
+:mod:`repro.workloads.tracecache`; the core keeps each thread slot's
+scoreboard and instantiated kernel lists, so a reloaded core (one
+``SoftwarePipeline`` runs every priority pair on one) binds nothing
+again.
 
 **Quiet spans.**  Memory-bound pairs, the balancer's stall/flush/
 throttle and priority-1 low-power decode leave the core with nothing
@@ -50,17 +54,19 @@ first cycle a flush can fire (it needs redirect expiry and grows no
 likelier as the oldest completion nears); the first slot that goes to
 a thread that could dispatch (at redirect expiry, at a throttled
 thread's every ``throttle_interval``-th owned slot, or at once).
-Until ``t`` GCT use, completions, thread availability and the
-balancer's stall and throttle flags hold still -- the loop checks that
-the stall flags are a fixed point -- so every slot ends in its owner's
-current blocking reason, and the loop credits the span in closed form:
-each thread's owned, wasted and per-cause lost slots grow by its slot
-count, read from per-period slot offsets of the dispatch table
-(throttle slots that meet a full GCT count as GCT-lost), and a stalled
-thread's balancer stall cycles by the span's length.  Unit-pool GC is
-bookkeeping and runs on landing.  A repetition gate may read ``now``,
-so gated runs never skip.  ``skipped_cycles`` counts the credited
-cycles.
+Until ``t`` GCT use, completions, thread availability (repetition
+leads included) and the balancer's stall and throttle flags hold
+still -- the loop checks that the stall flags are a fixed point -- so
+every slot ends in its owner's current blocking reason, and the loop
+credits the span in closed form: each thread's owned, wasted and
+per-cause lost slots grow by its slot count, read from per-period slot
+offsets of the dispatch table (throttle slots that meet a full GCT
+count as GCT-lost), and a stalled thread's balancer stall cycles by
+the span's length.  Unit-pool GC is bookkeeping and runs on landing.
+Runs with repetition leads do not skip: their spans are exact too
+(leads move only at a dispatch or a retire), but in the software
+pipeline the attempts cost more than the 4-9% of cycles they skip.
+``skipped_cycles`` counts the credited cycles.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from repro.config import CoreConfig
-from repro.core.smt_core import SMTCore
+from repro.core.smt_core import _UNGATED, SMTCore
 from repro.core.thread import HOT_COUNTERS, HardwareThread, fill_hot, spill_hot
 from repro.isa.compiled import SCOREBOARD_SLOTS
 from repro.isa.kernelgen import KernelConsts
@@ -94,7 +100,11 @@ _TABLES: dict[tuple, tuple] = {}
 
 #: ``ArraySMTCore._fill`` of an empty context: zero counters, not
 #: stalled or throttled, nothing to decode or retire, no kernels.
-_EMPTY = (0,) * len(HOT_COUNTERS) + (False, False, 0, 0, False, _BIG, None)
+_EMPTY = (0,) * len(HOT_COUNTERS) + (False, False, 0, 0, False, False, _BIG,
+                                     None)
+
+#: A cleared scoreboard, copied into a slot's board in place at ``load``.
+_CLEAR = (0,) * SCOREBOARD_SLOTS
 
 
 #: Memoised accessor for the process-wide kernel-factory cache.  Bound
@@ -116,26 +126,24 @@ class ArrayThread(HardwareThread):
 
     ``kernels`` always mirrors ``trace``: every path that can replace
     the trace list (construction, repetition advance, flush rewind)
-    invalidates the binding, and the engine rebinds lazily through the
-    process-wide factory cache.  Rebinding is keyed on the *identity*
+    invalidates the binding, and the engine rebinds lazily from its
+    per-slot kernel lists.  Rebinding is keyed on the *identity*
     of the source's repetition object, so steady sources (which return
     the same sequence every repetition) never re-hash their trace.
-    The scoreboard gains the two sentinel slots compiled register
-    indices address (see :mod:`repro.isa.compiled`).
+    The scoreboard is the core's board for this thread slot, with the
+    two sentinel slots compiled register indices address (see
+    :mod:`repro.isa.compiled`).
     """
 
     def __init__(self, thread_id: int, source: TraceSource,
-                 privilege: PrivilegeLevel = PrivilegeLevel.USER):
+                 privilege: PrivilegeLevel, scoreboard: list[int]):
         super().__init__(thread_id, source, privilege)
-        self.reg_ready = [0] * SCOREBOARD_SLOTS
+        self.reg_ready = scoreboard
         self._rep_obj: object | None = None
         self._bound_trace: list | None = None
         self._trace_tuple: tuple = ()
         self.kernels = _UNBOUND
         self._kern_width = -1
-        #: factory -> instantiated kernel list (one entry per width the
-        #: run has used; alternating rewind targets reuse entries).
-        self._kern_cache: dict = {}
         self._bind()
 
     def _bind(self) -> None:
@@ -166,10 +174,18 @@ class ArraySMTCore(SMTCore):
         self.skipped_cycles = 0
         # Group width -> baked kernel constants.
         self._kern_consts: dict[int, KernelConsts] = {}
+        # Per thread slot: the scoreboard its kernels bind (cleared in
+        # place at ``load``) and factory -> kernel list, one list per
+        # trace and width the slot has run.  Everything else a kernel
+        # binds also resets in place, so a reloaded core rebinds nothing.
+        self._scoreboards = ([0] * SCOREBOARD_SLOTS, [0] * SCOREBOARD_SLOTS)
+        self._kernel_lists: tuple[dict, dict] = ({}, {})
 
     def _make_thread(self, thread_id: int, source: TraceSource,
                      privilege: PrivilegeLevel) -> ArrayThread:
-        return ArrayThread(thread_id, source, privilege)
+        board = self._scoreboards[thread_id]
+        board[:] = _CLEAR
+        return ArrayThread(thread_id, source, privilege, board)
 
     def load(self, *args, **kwargs) -> None:
         super().load(*args, **kwargs)
@@ -204,12 +220,11 @@ class ArraySMTCore(SMTCore):
     def _live_kernels(self, th: ArrayThread | None, width: int):
         """Kernel list for ``th``'s current trace at ``width`` (or None).
 
-        Instantiation binds the thread scoreboard, this core's unit
-        pools, branch predictor, hierarchy entry points, D-TLB/L1D set
-        dicts and hit/load/store counter lists into the kernels'
+        Instantiation binds the thread slot's scoreboard, this core's
+        unit pools, branch predictor, hierarchy entry points, D-TLB/L1D
+        set dicts and hit/load/store counter lists into the kernels'
         default arguments; all of those are identity-stable across
-        ``reset`` (they clear in place), and threads are constructed
-        after the pools reset in :meth:`SMTCore.load`.
+        ``load`` (they clear in place), so the slot keeps the list.
         """
         if th is None:
             return None
@@ -220,17 +235,17 @@ class ArraySMTCore(SMTCore):
         if factory is None:
             kernels = None
         else:
-            kernels = th._kern_cache.get(factory)
+            lists = self._kernel_lists[th.thread_id]
+            kernels = lists.get(factory)
             if kernels is None:
                 hier = self.hierarchy
-                kernels = factory(
-                    th, self._fxu_pool, self._lsu_pool, self._fpu_pool,
-                    self.fus.bxu, self._hier_load, self._hier_store,
-                    self.bht.predict_and_update, hier.tlb._sets,
-                    hier.l1d._sets, hier.tlb.stats.thread_hits,
+                kernels = lists[factory] = factory(
+                    th.reg_ready, self._fxu_pool, self._lsu_pool,
+                    self._fpu_pool, self.fus.bxu, self._hier_load,
+                    self._hier_store, self.bht.predict_and_update,
+                    hier.tlb._sets, hier.l1d._sets, hier.tlb.stats.thread_hits,
                     hier.l1d.stats.thread_hits, hier._l1_counts,
                     hier.store_counts)
-                th._kern_cache[factory] = kernels
         th.kernels = kernels
         th._kern_width = width
         return kernels
@@ -246,9 +261,9 @@ class ArraySMTCore(SMTCore):
         with the period used here, which ``owner()`` itself guarantees
         since the table is built by evaluating it.  The table and the
         schedules depend only on the arbiter's parameters, so each is
-        built once per process.  ``sched[avail0 + 2 * avail1]`` holds,
+        built once per process.  ``sched[ga0 + 2 * ga1]`` holds,
         per thread, the slots it decodes in while exactly those threads
-        have instructions (a slot whose owner has none passes to the
+        may decode (a slot whose owner may not passes to the
         sibling): ``(m, cum, offs)``, the sorted table offsets ``offs``
         of its ``m`` slots per period and ``cum[r]``, how many of them
         lie before offset ``r``.  Slot ``g`` (counting from cycle 0)
@@ -293,16 +308,19 @@ class ArraySMTCore(SMTCore):
     def _fill(self, th: ArrayThread | None, width: int) -> tuple:
         """Step-loop locals of ``th`` (``_EMPTY`` for no context): the
         ``HOT_COUNTERS``, balancer stall and throttle flags, repetition
-        index, trace length, whether it can decode, next completion and
-        kernels at ``width``.  Every sync in :meth:`step` reloads here.
+        index, trace length, whether it has instructions (unfinished)
+        and whether it may decode them (unfinished, lead open), next
+        completion and kernels at ``width``.  Every sync in :meth:`step`
+        reloads here.
         """
         if th is None:
             return _EMPTY
         q = th.inflight
+        avail = not th.finished
         return fill_hot(th) + (
             th.balancer_stalled, th.throttled, th.rep_index, len(th.trace),
-            not th.finished, q[0][0] if q else _BIG,
-            self._live_kernels(th, width))
+            avail, avail and not self._gate_closed(th.thread_id),
+            q[0][0] if q else _BIG, self._live_kernels(th, width))
 
     def step(self, cycles: int) -> int:  # noqa: C901 (the hot loop)
         """Simulate ``cycles`` cycles; returns cycles actually run."""
@@ -336,15 +354,14 @@ class ArraySMTCore(SMTCore):
         thr_interval = bal_cfg.throttle_interval
         decode_slot = self._decode_slot  # reference path (prio groups,
         #                                  unkernelizable traces)
-        gate_on = self._rep_gate is not None
-        gate_open = self._gate_open
         # Quiet-span fast-forward (see the slow block): a decode that
         # dispatches nothing raises ``slow`` when no retire is due within
         # ``min_span`` cycles, from cycle ``retry`` on; an attempt that
         # finds a shorter span moves ``retry`` to its bound, before which
-        # nothing moves.  A repetition gate may read ``now``, so gated
-        # runs never skip.
-        retry = _BIG if gate_on else 0
+        # nothing moves.  Runs with repetition leads never try: leads hold
+        # still inside a span, so their spans would be exact too, but in
+        # the software pipeline the attempts cost more than they skip.
+        retry = 0 if self._leads == (_UNGATED, _UNGATED) else _BIG
         min_span = _MIN_SPAN
         stall_on = stall_en and bal_on
         flush_on = flush_en and bal_on
@@ -360,13 +377,18 @@ class ArraySMTCore(SMTCore):
         # after, plus a spill on return.  ``balancer_stalled`` is written
         # through on change and ``throttled`` only by the window update
         # (which returns it), so neither attribute is ever stale.
+        # ``avail`` (unfinished) drives the balancer, ``ga`` (unfinished,
+        # lead open; see the module docstring) decode.
+        ld0, ld1 = self._leads
+        ends0 = () if t0 is None else t0.rep_end_times
+        ends1 = () if t1 is None else t1.rep_end_times
         q0 = None if t0 is None else t0.inflight
         q1 = None if t1 is None else t1.inflight
         (own0, gh0, ret0, dec0, grp0, opw0, fuw0, ws0, lg0, ls0, lb0, lt0,
-         mis0, su0, pos0, bst0, thr0, rep0, n0, avail0, nc0,
+         mis0, su0, pos0, bst0, thr0, rep0, n0, avail0, ga0, nc0,
          kern0) = fill(t0, dec_width)
         (own1, gh1, ret1, dec1, grp1, opw1, fuw1, ws1, lg1, ls1, lb1, lt1,
-         mis1, su1, pos1, bst1, thr1, rep1, n1, avail1, nc1,
+         mis1, su1, pos1, bst1, thr1, rep1, n1, avail1, ga1, nc1,
          kern1) = fill(t1, dec_width)
         gct_used = self._gct_used
 
@@ -385,174 +407,155 @@ class ArraySMTCore(SMTCore):
                 next_gc = now + 1024
             # -- decode ------------------------------------------------
             # Same slot-passing strictness as the object engine: an
-            # *empty* owner (no context, workload finished, or a closed
-            # repetition gate) passes the slot to the sibling; a merely
-            # *blocked* owner wastes it.  Gates are polled in the object
-            # engine's order: the owner's, then the sibling's.
+            # *empty* owner (no context, workload finished, or its lead
+            # not open) passes the slot to the sibling; a merely
+            # *blocked* owner wastes it.
             tid = tid0 if one else tab[now % tab_len]
-            if tid is not None:
-                if tid == 0:
-                    if avail0 and (not t0.gated or gate_open(t0, 0, now)):
-                        dec = 0
-                    elif avail1 and (not t1.gated
-                                     or gate_open(t1, 1, now)):
-                        dec = 1
-                    else:
-                        dec = -1
-                elif avail1 and (not t1.gated or gate_open(t1, 1, now)):
-                    dec = 1
-                elif avail0 and (not t0.gated or gate_open(t0, 0, now)):
-                    dec = 0
-                else:
-                    dec = -1
-                if dec == 0:
-                    own0 += 1
-                    if su0 > now:
-                        ws0 += 1
-                        ls0 += 1
-                        if (now >= retry and nc0 - now > min_span
-                                and nc1 - now > min_span):
-                            slow = True
-                    elif bst0:
-                        ws0 += 1
-                        lb0 += 1
-                        if (now >= retry and nc0 - now > min_span
-                                and nc1 - now > min_span):
-                            slow = True
-                    elif thr0 and own0 % thr_interval:
-                        ws0 += 1
-                        lt0 += 1
-                        if (now >= retry and nc0 - now > min_span
-                                and nc1 - now > min_span):
-                            slow = True
-                    elif gct_used >= gct_groups:
-                        lg0 += 1
-                        if (now >= retry and nc0 - now > min_span
-                                and nc1 - now > min_span):
-                            slow = True
-                    else:
-                        p = pos0
-                        k = (kern0[p]
-                             if kern0 is not None and p < n0 else None)
-                        if k is not None:
-                            p2, cnt, gcomp, ow, fw, mc, rd = k(now, 0)
-                            opw0 += ow
-                            fuw0 += fw
-                            if mc >= 0:
-                                mis0 += 1
-                                su0 = mc + misp_pen
-                            if p == 0 and len(t0.rep_start_times) == rep0:
-                                t0.rep_start_times.append(now)
-                            q0.append((gcomp, cnt, rd, p, rep0))
-                            if nc0 == BIG:
-                                nc0 = gcomp
-                            gh0 += 1
-                            gct_used += 1
-                            dec0 += cnt
-                            grp0 += 1
-                            pos0 = p2
-                            if rd:
-                                t0.advance_repetition()
-                                t0.gated = gate_on
-                                pos0 = 0
-                                rep0 = t0.rep_index
-                                n0 = len(t0.trace)
-                                avail0 = not t0.finished
-                                kern0 = self._live_kernels(t0, dec_width)
-                        else:
-                            # Reference path: prio group, unkernelized
-                            # trace, or the defensive pos-overrun case.
-                            spill_hot(t0, (own0, gh0, ret0, dec0, grp0, opw0,
-                                           fuw0, ws0, lg0, ls0, lb0, lt0, mis0,
-                                           su0, pos0))
-                            self._gct_used = gct_used
-                            decode_slot(t0, 0, now, dec_width)
-                            gct_used = self._gct_used
-                            if arbiter is not self._arbiter:
-                                (arbiter, prio_p, prio_s, dec_width, tab,
-                                 tab_len, one, tid0,
-                                 sched) = self._array_locals()
-                                kern1 = self._live_kernels(t1, dec_width)
-                            (own0, gh0, ret0, dec0, grp0, opw0, fuw0, ws0, lg0,
-                             ls0, lb0, lt0, mis0, su0, pos0, bst0, thr0, rep0,
-                             n0, avail0, nc0, kern0) = fill(t0, dec_width)
-                elif dec == 1:
-                    own1 += 1
-                    if su1 > now:
-                        ws1 += 1
-                        ls1 += 1
-                        if (now >= retry and nc0 - now > min_span
-                                and nc1 - now > min_span):
-                            slow = True
-                    elif bst1:
-                        ws1 += 1
-                        lb1 += 1
-                        if (now >= retry and nc0 - now > min_span
-                                and nc1 - now > min_span):
-                            slow = True
-                    elif thr1 and own1 % thr_interval:
-                        ws1 += 1
-                        lt1 += 1
-                        if (now >= retry and nc0 - now > min_span
-                                and nc1 - now > min_span):
-                            slow = True
-                    elif gct_used >= gct_groups:
-                        lg1 += 1
-                        if (now >= retry and nc0 - now > min_span
-                                and nc1 - now > min_span):
-                            slow = True
-                    else:
-                        p = pos1
-                        k = (kern1[p]
-                             if kern1 is not None and p < n1 else None)
-                        if k is not None:
-                            p2, cnt, gcomp, ow, fw, mc, rd = k(now, 1)
-                            opw1 += ow
-                            fuw1 += fw
-                            if mc >= 0:
-                                mis1 += 1
-                                su1 = mc + misp_pen
-                            if p == 0 and len(t1.rep_start_times) == rep1:
-                                t1.rep_start_times.append(now)
-                            q1.append((gcomp, cnt, rd, p, rep1))
-                            if nc1 == BIG:
-                                nc1 = gcomp
-                            gh1 += 1
-                            gct_used += 1
-                            dec1 += cnt
-                            grp1 += 1
-                            pos1 = p2
-                            if rd:
-                                t1.advance_repetition()
-                                t1.gated = gate_on
-                                pos1 = 0
-                                rep1 = t1.rep_index
-                                n1 = len(t1.trace)
-                                avail1 = not t1.finished
-                                kern1 = self._live_kernels(t1, dec_width)
-                        else:
-                            spill_hot(t1, (own1, gh1, ret1, dec1, grp1, opw1,
-                                           fuw1, ws1, lg1, ls1, lb1, lt1, mis1,
-                                           su1, pos1))
-                            self._gct_used = gct_used
-                            decode_slot(t1, 1, now, dec_width)
-                            gct_used = self._gct_used
-                            if arbiter is not self._arbiter:
-                                (arbiter, prio_p, prio_s, dec_width, tab,
-                                 tab_len, one, tid0,
-                                 sched) = self._array_locals()
-                                kern0 = self._live_kernels(t0, dec_width)
-                            (own1, gh1, ret1, dec1, grp1, opw1, fuw1, ws1, lg1,
-                             ls1, lb1, lt1, mis1, su1, pos1, bst1, thr1, rep1,
-                             n1, avail1, nc1, kern1) = fill(t1, dec_width)
-                else:
+            if tid is None:
+                dec = -1
+            elif tid == 0:
+                dec = 0 if ga0 else 1 if ga1 else -1
+            else:
+                dec = 1 if ga1 else 0 if ga0 else -1
+            if dec == 0:
+                own0 += 1
+                if su0 > now:
+                    ws0 += 1
+                    ls0 += 1
                     if (now >= retry and nc0 - now > min_span
                             and nc1 - now > min_span):
                         slow = True
-            else:
-                if (now >= retry and nc0 - now > min_span
-                        and nc1 - now > min_span):
-                    slow = True
+                elif bst0:
+                    ws0 += 1
+                    lb0 += 1
+                    if (now >= retry and nc0 - now > min_span
+                            and nc1 - now > min_span):
+                        slow = True
+                elif thr0 and own0 % thr_interval:
+                    ws0 += 1
+                    lt0 += 1
+                    if (now >= retry and nc0 - now > min_span
+                            and nc1 - now > min_span):
+                        slow = True
+                elif gct_used >= gct_groups:
+                    lg0 += 1
+                    if (now >= retry and nc0 - now > min_span
+                            and nc1 - now > min_span):
+                        slow = True
+                else:
+                    p = pos0
+                    k = kern0[p] if kern0 is not None and p < n0 else None
+                    if k is not None:
+                        p2, cnt, gcomp, ow, fw, mc, rd = k(now, 0)
+                        opw0 += ow
+                        fuw0 += fw
+                        if mc >= 0:
+                            mis0 += 1
+                            su0 = mc + misp_pen
+                        if p == 0 and len(t0.rep_start_times) == rep0:
+                            t0.rep_start_times.append(now)
+                        q0.append((gcomp, cnt, rd, p, rep0))
+                        if nc0 == BIG:
+                            nc0 = gcomp
+                        gh0 += 1
+                        gct_used += 1
+                        dec0 += cnt
+                        grp0 += 1
+                        pos0 = p2
+                        if rd:
+                            t0.advance_repetition()
+                            pos0 = 0
+                            rep0 = t0.rep_index
+                            n0 = len(t0.trace)
+                            avail0 = not t0.finished
+                            ga0 = avail0 and rep0 < len(ends1) + ld0
+                            kern0 = self._live_kernels(t0, dec_width)
+                    else:
+                        # Reference path: prio group, unkernelized
+                        # trace, or the defensive pos-overrun case.
+                        spill_hot(t0, (own0, gh0, ret0, dec0, grp0, opw0,
+                                       fuw0, ws0, lg0, ls0, lb0, lt0, mis0,
+                                       su0, pos0))
+                        self._gct_used = gct_used
+                        decode_slot(t0, 0, now, dec_width)
+                        gct_used = self._gct_used
+                        if arbiter is not self._arbiter:
+                            (arbiter, prio_p, prio_s, dec_width, tab, tab_len,
+                             one, tid0, sched) = self._array_locals()
+                            kern1 = self._live_kernels(t1, dec_width)
+                        (own0, gh0, ret0, dec0, grp0, opw0, fuw0, ws0, lg0,
+                         ls0, lb0, lt0, mis0, su0, pos0, bst0, thr0, rep0,
+                         n0, avail0, ga0, nc0, kern0) = fill(t0, dec_width)
+            elif dec == 1:
+                own1 += 1
+                if su1 > now:
+                    ws1 += 1
+                    ls1 += 1
+                    if (now >= retry and nc0 - now > min_span
+                            and nc1 - now > min_span):
+                        slow = True
+                elif bst1:
+                    ws1 += 1
+                    lb1 += 1
+                    if (now >= retry and nc0 - now > min_span
+                            and nc1 - now > min_span):
+                        slow = True
+                elif thr1 and own1 % thr_interval:
+                    ws1 += 1
+                    lt1 += 1
+                    if (now >= retry and nc0 - now > min_span
+                            and nc1 - now > min_span):
+                        slow = True
+                elif gct_used >= gct_groups:
+                    lg1 += 1
+                    if (now >= retry and nc0 - now > min_span
+                            and nc1 - now > min_span):
+                        slow = True
+                else:
+                    p = pos1
+                    k = kern1[p] if kern1 is not None and p < n1 else None
+                    if k is not None:
+                        p2, cnt, gcomp, ow, fw, mc, rd = k(now, 1)
+                        opw1 += ow
+                        fuw1 += fw
+                        if mc >= 0:
+                            mis1 += 1
+                            su1 = mc + misp_pen
+                        if p == 0 and len(t1.rep_start_times) == rep1:
+                            t1.rep_start_times.append(now)
+                        q1.append((gcomp, cnt, rd, p, rep1))
+                        if nc1 == BIG:
+                            nc1 = gcomp
+                        gh1 += 1
+                        gct_used += 1
+                        dec1 += cnt
+                        grp1 += 1
+                        pos1 = p2
+                        if rd:
+                            t1.advance_repetition()
+                            pos1 = 0
+                            rep1 = t1.rep_index
+                            n1 = len(t1.trace)
+                            avail1 = not t1.finished
+                            ga1 = avail1 and rep1 < len(ends0) + ld1
+                            kern1 = self._live_kernels(t1, dec_width)
+                    else:
+                        spill_hot(t1, (own1, gh1, ret1, dec1, grp1, opw1,
+                                       fuw1, ws1, lg1, ls1, lb1, lt1, mis1,
+                                       su1, pos1))
+                        self._gct_used = gct_used
+                        decode_slot(t1, 1, now, dec_width)
+                        gct_used = self._gct_used
+                        if arbiter is not self._arbiter:
+                            (arbiter, prio_p, prio_s, dec_width, tab, tab_len,
+                             one, tid0, sched) = self._array_locals()
+                            kern0 = self._live_kernels(t0, dec_width)
+                        (own1, gh1, ret1, dec1, grp1, opw1, fuw1, ws1, lg1,
+                         ls1, lb1, lt1, mis1, su1, pos1, bst1, thr1, rep1,
+                         n1, avail1, ga1, nc1, kern1) = fill(t1, dec_width)
+            elif (now >= retry and nc0 - now > min_span
+                  and nc1 - now > min_span):
+                slow = True
 
             # -- retire (in order, one group per thread per cycle) -----
             if nc0 <= now:
@@ -565,6 +568,7 @@ class ArraySMTCore(SMTCore):
                     if g[2]:
                         t0.rep_end_times.append(now)
                         t0.rep_end_retired.append(ret0)
+                        ga1 = avail1 and rep1 < len(ends0) + ld1
                     budget -= 1
                     if q0:
                         nc0 = q0[0][0]
@@ -583,6 +587,7 @@ class ArraySMTCore(SMTCore):
                     if g[2]:
                         t1.rep_end_times.append(now)
                         t1.rep_end_retired.append(ret1)
+                        ga0 = avail0 and rep0 < len(ends1) + ld0
                     budget -= 1
                     if q1:
                         nc1 = q1[0][0]
@@ -621,7 +626,7 @@ class ArraySMTCore(SMTCore):
                         gct_used = self._gct_used
                         (own0, gh0, ret0, dec0, grp0, opw0, fuw0, ws0, lg0,
                          ls0, lb0, lt0, mis0, su0, pos0, bst0, thr0, rep0, n0,
-                         avail0, nc0, kern0) = fill(t0, dec_width)
+                         avail0, ga0, nc0, kern0) = fill(t0, dec_width)
                 if not avail0:
                     if bst1:
                         bst1 = t1.balancer_stalled = False
@@ -648,7 +653,7 @@ class ArraySMTCore(SMTCore):
                         gct_used = self._gct_used
                         (own1, gh1, ret1, dec1, grp1, opw1, fuw1, ws1, lg1,
                          ls1, lb1, lt1, mis1, su1, pos1, bst1, thr1, rep1, n1,
-                         avail1, nc1, kern1) = fill(t1, dec_width)
+                         avail1, ga1, nc1, kern1) = fill(t1, dec_width)
 
                 if slow and now >= bal.next_window:
                     bal.next_window = now + window
@@ -678,10 +683,10 @@ class ArraySMTCore(SMTCore):
                     (arbiter, prio_p, prio_s, dec_width, tab, tab_len, one,
                      tid0, sched) = self._array_locals()
                 (own0, gh0, ret0, dec0, grp0, opw0, fuw0, ws0, lg0, ls0, lb0,
-                 lt0, mis0, su0, pos0, bst0, thr0, rep0, n0, avail0, nc0,
+                 lt0, mis0, su0, pos0, bst0, thr0, rep0, n0, avail0, ga0, nc0,
                  kern0) = fill(t0, dec_width)
                 (own1, gh1, ret1, dec1, grp1, opw1, fuw1, ws1, lg1, ls1, lb1,
-                 lt1, mis1, su1, pos1, bst1, thr1, rep1, n1, avail1, nc1,
+                 lt1, mis1, su1, pos1, bst1, thr1, rep1, n1, avail1, ga1, nc1,
                  kern1) = fill(t1, dec_width)
 
             if slow:
@@ -701,7 +706,8 @@ class ArraySMTCore(SMTCore):
                 # but a slot counter can change, and credit ``[now+1,
                 # t)`` arithmetically.  Until ``t`` no group retires
                 # (``nc``) and no deadline passes, so GCT use,
-                # completions, availability and the balancer and
+                # completions, availability (leads included: they move
+                # only at a dispatch or a retire) and the balancer and
                 # throttle flags hold still; each slot then ends in its
                 # owner's current blocking reason, and ``t`` stops at
                 # the first slot whose owner could dispatch.
@@ -719,7 +725,7 @@ class ArraySMTCore(SMTCore):
                     if t - s >= min_span:
                         gct_full = gct_used >= gct_groups
                         ((m0, cum0, offs0),
-                         (m1, cum1, offs1)) = sched[avail0 + 2 * avail1]
+                         (m1, cum1, offs1)) = sched[ga0 + 2 * ga1]
                         # A slot wakes its owner at redirect expiry, at
                         # the throttle's every ``thr_interval``-th owned
                         # slot, or at once -- unless a balancer stall or

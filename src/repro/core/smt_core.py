@@ -15,8 +15,10 @@ POWER5 (see DESIGN.md).  Per simulated cycle the core:
 4. runs the dynamic resource balancer (stall / flush / throttle).
 
 Slots are strictly owned: a slot whose owner cannot decode (stalled,
-redirecting, GCT full, gated) is wasted, never handed to the sibling --
-the behaviour that makes extreme negative priorities catastrophic.
+redirecting, GCT full) is wasted, never handed to the sibling -- the
+behaviour that makes extreme negative priorities catastrophic.  Only an
+owner with no instructions at all (no context, finished, or held at a
+repetition boundary by its lead) passes its slot on.
 
 The step loop is written for speed (flat locals, integer op codes,
 minimal allocation): full experiment sweeps simulate hundreds of
@@ -57,13 +59,9 @@ _OP_BRANCH = int(OpClass.BRANCH)
 _OP_NOP = int(OpClass.NOP)
 _OP_PRIO = int(OpClass.PRIO_NOP)
 
-#: A repetition gate: ``gate(thread_id, rep_index, now)`` -> may start.
-#: Polled at decode while a thread waits at a repetition boundary.  The
-#: array engine keeps per-thread counters in locals mid-step, so a gate
-#: may read only what stays current there: the threads'
-#: ``rep_end_times`` / ``completed_repetitions`` and ``rep_index``, and
-#: ``now``.  Other counters (``retired``, ``pos``, ...) may be stale.
-RepGate = Callable[[int, int, int], bool]
+#: The lead of a thread that ``load`` was given no lead for: larger
+#: than any repetition index, so its gate never closes.
+_UNGATED = 1 << 62
 
 
 class SMTCore:
@@ -82,7 +80,8 @@ class SMTCore:
             4, 4, self.config.low_power_decode_interval)
         self._cycle = 0
         self._gct_used = 0
-        self._rep_gate: RepGate | None = None
+        # Repetition leads (``load``'s ``rep_lead``; _UNGATED: none).
+        self._leads = (_UNGATED, _UNGATED)
         # Periodic hooks: [period, next_fire, callable(core, now)].
         self._hooks: list[list] = []
         # Earliest pending hook fire time (-1: no hooks).  Maintained
@@ -118,7 +117,7 @@ class SMTCore:
              priorities: tuple[int, int] = (4, 4),
              privileges: tuple[PrivilegeLevel, PrivilegeLevel] = (
                  PrivilegeLevel.USER, PrivilegeLevel.USER),
-             rep_gate: RepGate | None = None) -> None:
+             rep_lead: Sequence[int | None] | None = None) -> None:
         """Reset the core and install workloads.
 
         ``sources`` holds one TraceSource per hardware thread; ``None``
@@ -126,11 +125,20 @@ class SMTCore:
         for arbitration purposes).  ``priorities`` are applied directly
         (as the patched kernel of section 4.3 would); in-trace
         ``or X,X,X`` requests are honoured against ``privileges``.
-        ``rep_gate`` optionally gates the start of each repetition
-        (used by the software-pipeline case study).
+        ``rep_lead`` optionally holds one lead per source (``None``:
+        ungated): thread ``t`` may start repetition ``r`` only while
+        ``r < completed repetitions of its sibling + lead[t]`` (with no
+        sibling the lead caps its repetitions); until then its slots
+        pass to the sibling.  The software pipeline of the Table 4 case
+        study passes ``(buffer_depth, 0)``.  Once open, a gate stays
+        open: the sibling's count only grows and a balancer flush only
+        lowers ``rep_index``.
         """
         if len(sources) not in (1, 2):
             raise ValueError("need one or two workload sources")
+        leads = [_UNGATED if lead is None else lead for lead in rep_lead or ()]
+        if len(leads) > len(sources) or min(leads, default=0) < 0:
+            raise ValueError("need at most one non-negative lead per source")
         srcs = list(sources) + [None] * (2 - len(sources))
         self.hierarchy.reset()
         self.bht.reset()
@@ -143,11 +151,7 @@ class SMTCore:
             for i, src in enumerate(srcs)]
         self._cycle = 0
         self._gct_used = 0
-        self._rep_gate = rep_gate
-        if rep_gate is not None:
-            for th in self._threads:
-                if th is not None:
-                    th.gated = True
+        self._leads = tuple(leads + [_UNGATED] * (2 - len(leads)))
         self._hooks = []
         self._next_hook = -1
         self._rebuild_arbiter()
@@ -226,7 +230,7 @@ class SMTCore:
         """The machine state, from every subsystem's ``state``: two
         cores that agree here behave identically from this cycle on."""
         now = self._cycle
-        return (now, self._gct_used,
+        return (now, self._gct_used, self._leads,
                 tuple(int(p) for p in self.interface.priorities),
                 self.honor_priority_nops,
                 tuple((h[0], h[1]) for h in self._hooks), self._next_hook,
@@ -274,6 +278,7 @@ class SMTCore:
 
         prio_p, prio_s = self.priorities
         decode_slot = self._decode_slot
+        gated = self._leads != (_UNGATED, _UNGATED)
         bal_on = bal_enabled and t0 is not None and t1 is not None
 
         # NORMAL-mode slot ownership is a modulo test; inline it and
@@ -290,7 +295,7 @@ class SMTCore:
                 next_gc = now + 1024
             # -- decode ------------------------------------------------
             # A slot whose owner has *no instructions at all* (empty
-            # context, workload finished, or gated waiting for input)
+            # context, workload finished, or its lead not yet open)
             # passes to the sibling: hardware cannot decode from an
             # empty instruction buffer.  A slot whose owner is merely
             # blocked (GCT full, balancer, redirect) is wasted -- that
@@ -302,12 +307,11 @@ class SMTCore:
             if owner is not None:
                 th = threads[owner]
                 if th is None or th.finished or (
-                        th.gated and not self._gate_open(th, owner, now)):
+                        gated and self._gate_closed(owner)):
                     owner = 1 - owner
                     th = threads[owner]
                     if th is not None and (th.finished or (
-                            th.gated
-                            and not self._gate_open(th, owner, now))):
+                            gated and self._gate_closed(owner))):
                         th = None
                 if th is not None:
                     th.owned_slots += 1
@@ -444,13 +448,13 @@ class SMTCore:
         return (mode is ArbiterMode.NORMAL, arb._ratio, high, 1 - high,
                 width)
 
-    def _gate_open(self, th: HardwareThread, tid: int, now: int) -> bool:
-        """Re-evaluate a gated thread's repetition gate."""
-        gate = self._rep_gate
-        if gate is None or gate(tid, th.rep_index, now):
-            th.gated = False
-            return True
-        return False
+    def _gate_closed(self, tid: int) -> bool:
+        """Whether thread ``tid`` waits at a repetition boundary: its
+        ``rep_index`` is not below its sibling's completed repetitions
+        (0 with no sibling) plus its lead."""
+        sib = self._threads[1 - tid]
+        return self._threads[tid].rep_index >= self._leads[tid] + (
+            0 if sib is None else len(sib.rep_end_times))
 
     def _decode_slot(self, th: HardwareThread, tid: int, now: int,
                      width: int = 0) -> None:
@@ -638,8 +642,6 @@ class SMTCore:
         th.pos = pos
         if rep_done:
             th.advance_repetition()
-            if self._rep_gate is not None:
-                th.gated = True
 
     def _flush(self, th: HardwareThread, now: int) -> None:
         """Balancer flush: squash the thread's youngest groups.

@@ -84,7 +84,6 @@ class HardwareThread:
         self.stall_until = 0          # branch redirect / flush penalty
         self.balancer_stalled = False
         self.throttled = False
-        self.gated = False            # repetition gate (pipeline sync)
 
         # Counters.  ``wasted_slots`` aggregates the per-cause PMU
         # buckets below it (stall + balancer + throttle + other); the
@@ -116,7 +115,7 @@ class HardwareThread:
         # FAME accounting: completion cycle and cumulative retired
         # instruction count at the end of each complete repetition,
         # plus the cycle each repetition's first group decoded (used to
-        # separate busy time from gate-wait time in pipelines).
+        # separate busy time from lead-wait time in pipelines).
         self.rep_end_times: list[int] = []
         self.rep_end_retired: list[int] = []
         self.rep_start_times: list[int] = []
@@ -135,7 +134,7 @@ class HardwareThread:
         hot = tuple(max(v, now) if n == "stall_until" else v
                     for n, v in zip(HOT_COUNTERS, fill_hot(self)))
         return (hot, self.rep_index, self.finished,
-                self.balancer_stalled, self.throttled, self.gated,
+                self.balancer_stalled, self.throttled,
                 tuple(self.inflight),
                 tuple(r if r > now else now
                       for r in self.reg_ready[:NUM_REGS]),

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from repro.config import POWER5, CoreConfig
 from repro.core import CoreResult, SMTCore, ThreadResult, make_core
-from repro.core.smt_core import RepGate
 from repro.fame.maiv import accumulated_ipc_series, maiv_converged
 from repro.isa.trace import TraceSource
 from repro.priority.levels import PrivilegeLevel
@@ -89,7 +88,6 @@ class FameRunner:
                  priorities: tuple[int, int] = (4, 4),
                  privileges: tuple[PrivilegeLevel, PrivilegeLevel] = (
                      PrivilegeLevel.USER, PrivilegeLevel.USER),
-                 rep_gate: RepGate | None = None,
                  core: SMTCore | None = None,
                  pmu=None, governor=None) -> FameResult:
         """Measure a (PThread, SThread) pair at fixed priorities.
@@ -106,7 +104,7 @@ class FameRunner:
         on the PMU report when both are given.
         """
         core = core or make_core(self.config)
-        core.load([primary, secondary], priorities, privileges, rep_gate)
+        core.load([primary, secondary], priorities, privileges)
         if pmu is not None:
             pmu.attach(core)
         if governor is not None:

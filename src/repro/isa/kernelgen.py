@@ -472,10 +472,11 @@ def generate_factory_source(compiled: CompiledTrace, consts: KernelConsts
             tuple(groups), n)
 
 
-def _bind_env(th, fxu, lsu, fpu, bxu, hl, hs, predict, tlbs, l1s, tth,
+def _bind_env(rr, fxu, lsu, fpu, bxu, hl, hs, predict, tlbs, l1s, tth,
               l1h, l1c, stc) -> dict:
-    """Bind name -> object for the state kernels take as defaults."""
-    env = {"rr": th.reg_ready, "hl": hl, "hs": hs, "predict": predict,
+    """Bind name -> object for the state kernels take as defaults
+    (``rr`` is the thread slot's scoreboard)."""
+    env = {"rr": rr, "hl": hl, "hs": hs, "predict": predict,
            "tlbs": tlbs, "l1s": l1s, "tth": tth, "l1h": l1h, "l1c": l1c,
            "stc": stc}
     for pool, (obj, occ, get, ti, _w, _v) in zip((fxu, lsu, fpu, bxu),

@@ -6,7 +6,9 @@ output.  Iteration ``k`` of the consumer may therefore only start once
 iteration ``k`` of the producer has completed, and the producer is
 held back by a bounded buffer so it cannot run unboundedly ahead.
 Per-iteration execution time is the time of the longest stage -- the
-quantity the paper improves by prioritizing the FFT.
+quantity the paper improves by prioritizing the FFT.  Both rules are
+repetition leads of the core (``SMTCore.load``'s ``rep_lead``): the
+producer leads by the buffer depth, the consumer by 0.
 """
 
 from __future__ import annotations
@@ -44,7 +46,11 @@ class PipelineResult:
 
 
 class SoftwarePipeline:
-    """Runs a producer/consumer pair with pipeline gating."""
+    """Runs a producer/consumer pair with pipeline gating.
+
+    Every :meth:`run` reloads one core, built on first use, so its
+    kernel bindings carry over from run to run.
+    """
 
     def __init__(self, producer: TraceSource | None = None,
                  consumer: TraceSource | None = None,
@@ -57,6 +63,7 @@ class SoftwarePipeline:
         if buffer_depth < 1:
             raise ValueError("buffer_depth must be >= 1")
         self.buffer_depth = buffer_depth
+        self._core = None
 
     def run(self, priorities: tuple[int, int] = (4, 4),
             iterations: int = 10, warmup: int = 2,
@@ -71,24 +78,13 @@ class SoftwarePipeline:
         """
         if iterations <= warmup:
             raise ValueError("need more iterations than warmup")
-        core = make_core(self.config)
-        depth = self.buffer_depth
-        # The gate reaches the threads through this list, not through
-        # ``core``: the core holds the gate, so capturing the core would
-        # make every run's core cyclic garbage.
-        threads = []
-
-        def gate(thread_id: int, rep_index: int, now: int) -> bool:
-            produced = threads[0].completed_repetitions
-            if thread_id == 1:
-                # Consumer iteration k needs producer iteration k done.
-                return produced > rep_index
-            consumed = threads[1].completed_repetitions
-            return rep_index - consumed < depth
-
+        core = self._core
+        if core is None:
+            core = self._core = make_core(self.config)
+        # Consumer iteration k needs producer iteration k done; the
+        # producer may run ``buffer_depth`` iterations ahead.
         core.load([self.producer, self.consumer], priorities,
-                  rep_gate=gate)
-        threads += (core.thread(0), core.thread(1))
+                  rep_lead=(self.buffer_depth, 0))
         if governor is not None:
             governor.attach(core)
         while (core.thread(1).completed_repetitions < iterations
@@ -105,7 +101,7 @@ class SoftwarePipeline:
         iteration = span / (measured - warmup)
         prod_avg = _steady_average(prod, warmup, measured)
         # Consumer busy time: completion minus the cycle its input was
-        # ready and decode actually began (excludes gate-wait).
+        # ready and decode actually began (excludes lead-wait).
         starts = core.thread(1).rep_start_times
         busy = [e - s for s, e in zip(starts[warmup:measured],
                                       cons[warmup:measured])]

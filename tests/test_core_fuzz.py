@@ -6,7 +6,7 @@ bounded GCT occupancy, monotone accounting, retirement never ahead of
 decode, and clean termination of finite workloads.  Memory-heavy
 two-thread traces over an address pool that aliases on purpose must
 also leave the array and object engines in the same machine state,
-with or without random repetition gates, as must traces whose decode
+with or without random repetition leads, as must traces whose decode
 groups re-touch lines and mix same-set tags, or run under a hook
 that rewrites priorities and prefetcher knobs.  These traces carry
 priority nops, whose groups the array engine decodes on the reference
@@ -248,37 +248,15 @@ class TestEnginesAgreeOnMixedMemoryTraces:
 
 
 # ----------------------------------------------------------------------
-# Array vs object engine under random repetition gates
+# Array vs object engine under random repetition leads
 # ----------------------------------------------------------------------
 
-#: Per-thread gate rules: ``None`` (always open), a repetition cap
-#: (``rep < k``), the two sibling-progress rules of
-#: ``SoftwarePipeline``'s gate (``lead``: at most ``k`` repetitions
-#: ahead of the sibling, like its producer; ``follow``: only past the
-#: sibling's completed repetitions, like its consumer), or a
-#: ``now >= t`` threshold.
-gate_rules = st.one_of(
-    st.none(),
-    st.tuples(st.just("cap"), st.integers(min_value=0, max_value=6)),
-    st.tuples(st.just("lead"), st.integers(min_value=1, max_value=3)),
-    st.just(("follow", 0)),
-    st.tuples(st.just("after"), st.integers(min_value=0, max_value=3000)))
-
-
-def _rep_gate(rules, threads):
-    """The gate of ``rules``; ``threads`` is filled after ``load``."""
-    def gate(tid, rep, now):
-        rule = rules[tid]
-        if rule is None:
-            return True
-        kind, k = rule
-        if kind == "cap":
-            return rep < k
-        if kind == "after":
-            return now >= k
-        done = threads[1 - tid].completed_repetitions
-        return rep - done < k if kind == "lead" else done > rep
-    return gate
+#: Per-thread repetition leads: ``None`` (ungated) or ``k``, so the
+#: thread may start repetition ``r`` only while ``r`` is below its
+#: sibling's completed repetitions plus ``k`` (``SoftwarePipeline``'s
+#: consumer leads by 0, its producer by the buffer depth; with no
+#: sibling the lead caps the thread's repetitions).
+gate_rules = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
 
 
 class TestEnginesAgreeUnderRandomGates:
@@ -289,16 +267,13 @@ class TestEnginesAgreeUnderRandomGates:
     @settings(max_examples=40, deadline=None)
     def test_machine_state_identical(self, t0, t1, r0, r1, p0, p1,
                                      chunks):
-        """Gate polling in the array loop matches ``SMTCore.step``,
-        whole-run or in chunks that stop mid-wait."""
+        """Leads folded into the array loop's availability match
+        ``SMTCore.step``, whole-run or in chunks that stop mid-wait."""
         states = []
         for config in (_CONFIG, _OBJECT_CONFIG):
             core = make_core(config)
-            threads = []
             core.load([_source(t0, "a"), _source(t1, "b")],
-                      priorities=(p0, p1),
-                      rep_gate=_rep_gate((r0, r1), threads))
-            threads += (core.thread(0), core.thread(1))
+                      priorities=(p0, p1), rep_lead=(r0, r1))
             for cycles in chunks:
                 core.step(cycles)
             states.append(core.state())
@@ -405,22 +380,18 @@ class TestEnginesAgreeAcrossQuietSpans:
         retire for long stretches, which the array engine credits
         arithmetically; every arbiter mode (priorities 0..7, one thread
         or two), random ``step`` chunks that end inside those stretches,
-        a balancer that stalls and flushes often, and repetition gates
-        (whose ``after`` rule reads ``now``) must leave both engines in
-        the same machine state."""
+        a balancer that stalls and flushes often, and repetition leads
+        (gated runs do not skip) must leave both engines in the same
+        machine state."""
         array = _TIGHT if tight else _CONFIG
         sources = [_source(t0, "a")] if solo else [
             _source(t0, "a"), _source(t1, "b")]
-        if solo and rules is not None and rules[0] is not None \
-                and rules[0][0] in ("lead", "follow"):
-            rules = None  # a sibling-progress rule needs a sibling
+        if solo and rules is not None:
+            rules = rules[:1]
         states = []
         for config in (array, dataclasses.replace(array, engine="object")):
             core = make_core(config)
-            threads = []
-            gate = None if rules is None else _rep_gate(rules, threads)
-            core.load(sources, priorities=(p0, p1), rep_gate=gate)
-            threads += (core.thread(0), None if solo else core.thread(1))
+            core.load(sources, priorities=(p0, p1), rep_lead=rules)
             for cycles in chunks:
                 core.step(cycles)
             states.append(core.state())

@@ -1,4 +1,4 @@
-"""Unit tests for per-thread state: repetitions, rewind, gating."""
+"""Unit tests for per-thread state: repetitions, rewind, repetition leads."""
 
 import dataclasses
 
@@ -133,7 +133,7 @@ class TestFiniteWorkloadsOnCore:
 
 
 class TestRepetitionGate:
-    """Repetition gating on the object engine (the reference loop)."""
+    """Repetition leads on the object engine (the reference loop)."""
 
     engine = "object"
 
@@ -141,39 +141,50 @@ class TestRepetitionGate:
         return make_core(dataclasses.replace(config, engine=self.engine))
 
     def test_gate_blocks_until_open(self, config):
-        opened = {"at": 5000}
-
-        def gate(tid, rep, now):
-            return now >= opened["at"]
-
+        """A lead of 0 holds a thread until its sibling completes a
+        repetition: it decodes nothing before, and each of its
+        repetitions starts only after the sibling's same repetition."""
         core = self.make(config)
-        core.load([small_source()], rep_gate=gate)
+        core.load([small_source(n=200, name="a"), small_source(name="b")],
+                  rep_lead=(None, 0))
+        while not core.thread(0).completed_repetitions:
+            assert core.thread(1).decoded == 0
+            core.step(7)
         core.step(4000)
-        assert core.thread(0).retired == 0
-        core.step(4000)
-        assert core.thread(0).retired > 0
+        producer, consumer = core.thread(0), core.thread(1)
+        assert consumer.completed_repetitions > 1
+        for k, start in enumerate(consumer.rep_start_times):
+            assert start > producer.rep_end_times[k]
 
     def test_gate_consulted_per_repetition(self, config):
-        allowed = {"max_rep": 2}
-
-        def gate(tid, rep, now):
-            return rep < allowed["max_rep"]
-
-        core = self.make(config)
-        core.load([small_source()], rep_gate=gate)
-        core.step(20_000)
-        assert core.thread(0).completed_repetitions == 2
+        """With no sibling, a lead caps the thread's repetitions."""
+        for lead in (0, 2):
+            core = self.make(config)
+            core.load([small_source()], rep_lead=(lead,))
+            core.step(20_000)
+            assert core.thread(0).completed_repetitions == lead
+            assert core.thread(0).decoded == 8 * lead
 
     def test_gated_thread_cedes_slots_to_sibling(self, config):
+        """A thread whose lead is closed passes its slots to the sibling
+        (the sibling's one long repetition never completes here)."""
         core = self.make(config)
-        core.load([small_source(name="a"), small_source(name="b")],
-                  rep_gate=lambda tid, rep, now: tid == 0)
-        core.step(10_000)
+        core.load([small_source(n=12_000, name="a"), small_source(name="b")],
+                  rep_lead=(None, 0))
+        core.step(4000)
         solo = self.make(config)
-        solo.load([small_source(name="a")])
-        solo.step(10_000)
+        solo.load([small_source(n=12_000, name="a")])
+        solo.step(4000)
+        assert core.thread(0).completed_repetitions == 0
         assert core.thread(1).retired == 0
         assert core.thread(0).retired > 0.75 * solo.thread(0).retired
+
+    def test_lead_validated(self, config):
+        core = self.make(config)
+        with pytest.raises(ValueError):
+            core.load([small_source()], rep_lead=(1, 1))
+        with pytest.raises(ValueError):
+            core.load([small_source(), small_source()], rep_lead=(-1, 0))
 
     def test_rep_start_times_recorded(self, config):
         core = self.make(config)
@@ -189,7 +200,7 @@ class TestRepetitionGate:
 
 
 class TestRepetitionGateArray(TestRepetitionGate):
-    """The same gate contract on the compiled kernels: gated runs stay
-    on the array loop, which polls the gate at decode."""
+    """The same lead contract on the compiled kernels: gated runs stay
+    on the array loop, which folds the lead into decode availability."""
 
     engine = "array"

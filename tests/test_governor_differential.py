@@ -78,9 +78,9 @@ def test_engine_bit_identity(configs, primary, secondary, policy,
 def test_engine_bit_identity_pipeline(configs):
     """The governed FFT/LU pipeline agrees across engine configs.
 
-    (The array engine polls the pipeline's rep gate in its compiled
-    loop; this pins that governor epochs landing mid-gate cannot make
-    a gated run diverge either.)
+    (The array engine folds the pipeline's repetition leads into its
+    decode availability; this pins that governor epochs landing while a
+    thread waits on its lead cannot make a gated run diverge either.)
     """
     from repro.governor import PipelinePolicy
     from repro.workloads.pipeline import SoftwarePipeline

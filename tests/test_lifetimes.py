@@ -4,7 +4,8 @@ Cores are large (kernels, caches, traces), so a core that survives its
 cell only as cyclic garbage inflates peak RSS until the cyclic
 collector happens to run.  Each cell kind is computed with the
 collector disabled; every core it built must be freed by reference
-counting alone.
+counting alone.  A software pipeline keeps one core for all its runs,
+which must die with the pipeline.
 """
 
 import gc
@@ -17,6 +18,8 @@ from repro.core import SMTCore
 from repro.experiments import ExperimentContext
 from repro.experiments.base import governed_cell, pair_cell, single_cell
 from repro.experiments.chip import chip_cell
+from repro.governor import Governor, GovernorConfig, PipelinePolicy
+from repro.workloads import SoftwarePipeline
 
 CELLS = {
     "single": single_cell("cpu_int"),
@@ -49,5 +52,21 @@ def test_cell_frees_its_cores_without_gc(key, monkeypatch):
         assert built
         alive = [ref for ref in built if ref() is not None]
         assert not alive, f"{len(alive)} of {len(built)} cores outlive it"
+    finally:
+        gc.enable()
+
+
+def test_pipeline_frees_its_core_without_gc():
+    pipe = SoftwarePipeline(config=POWER5.small())
+    cfg = GovernorConfig(epoch=2048)
+    gc.collect()
+    gc.disable()
+    try:
+        pipe.run((5, 4), iterations=3, warmup=1)
+        pipe.run((4, 4), iterations=4, warmup=1,
+                 governor=Governor(cfg, PipelinePolicy(cfg)))
+        core = weakref.ref(pipe._core)
+        del pipe
+        assert core() is None
     finally:
         gc.enable()

@@ -24,15 +24,17 @@ from repro.prefetch import PrefetchConfig
 #: the simulator's own statistics, like the array engine's
 #: ``skipped_cycles``); a class inherits its bases' entries.  The
 #: arbiter is a function of the interface's priorities, a thread's
-#: ``trace`` of its ``source`` and ``rep_index``.
+#: ``trace`` of its ``source`` and ``rep_index``; the array engine's
+#: per-slot scoreboards are the threads' ``reg_ready``.
 NON_STATE = {
-    "SMTCore": {"config", "_rep_gate", "_tracer", "_arbiter", "_dec_consts",
+    "SMTCore": {"config", "_tracer", "_arbiter", "_dec_consts",
                 "_fxu_pool", "_lsu_pool", "_fpu_pool", "_bxu_issue",
                 "_hier_load", "_hier_store"},
-    "ArraySMTCore": {"_kern_consts", "skipped_cycles"},
+    "ArraySMTCore": {"_kern_consts", "skipped_cycles", "_scoreboards",
+                     "_kernel_lists"},
     "HardwareThread": {"thread_id", "source", "privilege", "trace"},
     "ArrayThread": {"_rep_obj", "_bound_trace", "_trace_tuple", "kernels",
-                    "_kern_width", "_kern_cache"},
+                    "_kern_width"},
     "FunctionalUnits": set(),
     "UnitPool": {"name", "count"},
     "MemoryHierarchy": {"config", "chip_port", "_tlb_penalty",

@@ -141,7 +141,7 @@ def test_factory_keyed_by_cache_geometry(config, geometry):
             core.step(20_000)
             states.append(core.state())
             if engine == "array":
-                assert factory in core.thread(0)._kern_cache
+                assert factory in core._kernel_lists[0]
         assert states[0] == states[1]
     assert factories[0] is not factories[1]
     assert cache_info()["factory_entries"] == 2

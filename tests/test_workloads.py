@@ -1,5 +1,6 @@
 """Tests for the case-study workloads: FFT, LU, SPEC models, pipeline."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -210,8 +211,8 @@ class TestSoftwarePipeline:
             run.iteration_cycles / config.clock_hz)
 
     def test_run_leaves_no_core_cycle(self, config, monkeypatch):
-        """The core a run builds dies with the run, without a gen-2 GC
-        (the rep gate must not capture the core that holds it)."""
+        """The core a pipeline builds dies with the pipeline, without a
+        gen-2 GC (nothing the core holds may refer back to it)."""
         from repro.workloads import pipeline as pipeline_mod
         make = pipeline_mod.make_core
         built = []
@@ -228,6 +229,41 @@ class TestSoftwarePipeline:
             assert built and built[0]() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("engine", ["array", "object"])
+    def test_reused_core_matches_fresh(self, config, engine):
+        """Consecutive runs reload one core: each equals a fresh
+        pipeline's run, static or governed, at several priority pairs;
+        on the array engine a repeated run binds no kernels."""
+        from repro.governor import Governor, GovernorConfig, PipelinePolicy
+        cfg = dataclasses.replace(config, engine=engine)
+        gcfg = GovernorConfig(epoch=2048)
+
+        def run(pipe, prio, governed):
+            if governed:
+                return pipe.run(prio, iterations=6, warmup=2,
+                                governor=Governor(gcfg, PipelinePolicy(gcfg)))
+            return pipe.run(prio, iterations=4, warmup=1)
+
+        pipe = SoftwarePipeline(config=cfg)
+        cases = [((4, 4), False), ((6, 3), False), ((2, 5), True),
+                 ((5, 4), True), ((4, 4), False)]
+        retuned = 0
+        for prio, governed in cases:
+            reused = run(pipe, prio, governed)
+            assert reused == run(SoftwarePipeline(config=cfg), prio, governed)
+            retuned += sum(d.applied for d in reused.decisions)
+        assert retuned  # the governed runs move priorities mid-run
+        core = pipe._core
+        if engine == "array":
+            bound = [dict(lists) for lists in core._kernel_lists]
+            assert all(bound)
+            run(pipe, (4, 4), False)
+            assert pipe._core is core
+            for before, after in zip(bound, core._kernel_lists):
+                assert after.keys() == before.keys()
+                assert all(after[f] is kernels
+                           for f, kernels in before.items())
 
     def test_parameter_validation(self, config, pipeline):
         with pytest.raises(ValueError):
