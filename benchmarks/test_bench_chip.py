@@ -11,21 +11,16 @@ chip) and asserts its headline claims:
   round_robin imposes on them;
 - no run hit the cycle cap (the numbers compare completed workloads).
 
-The headline numbers are appended to ``BENCH_simcore.json`` under a
-``"chip"`` key, preserving every other section of the committed file.
+The headline numbers are recorded under ``"chip"`` in
+``BENCH_simcore.json``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 from repro.experiments import run_chip
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-
-def test_bench_chip(benchmark, ctx, save_report):
+def test_bench_chip(benchmark, ctx, save_report, record):
     report = benchmark.pedantic(lambda: run_chip(ctx),
                                 rounds=1, iterations=1)
     save_report(report)
@@ -44,11 +39,7 @@ def test_bench_chip(benchmark, ctx, save_report):
     shields = data["claims"]["background_foreground_shield"]
     assert any(s["shields"] for s in shields)
 
-    # Append the chip section to the committed benchmark file without
-    # disturbing the perf bench's sections.
-    out = ROOT / "BENCH_simcore.json"
-    payload = json.loads(out.read_text()) if out.exists() else {}
-    payload["chip"] = {
+    record("chip", {
         "n_cores": data["n_cores"],
         "quota": data["quota"],
         "throughput": {
@@ -65,5 +56,4 @@ def test_bench_chip(benchmark, ctx, save_report):
                 {"mix": s["mix"], "shields": s["shields"]}
                 for s in shields],
         },
-    }
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    })

@@ -152,8 +152,7 @@ class SMTCore:
         self._cycle = 0
         self._gct_used = 0
         self._leads = tuple(leads + [_UNGATED] * (2 - len(leads)))
-        self._hooks = []
-        self._next_hook = -1
+        self.clear_hooks()
         self._rebuild_arbiter()
 
     def _make_thread(self, thread_id: int, source: TraceSource,
@@ -183,6 +182,11 @@ class SMTCore:
         self._hooks.append([period, fire, hook])
         if self._next_hook < 0 or fire < self._next_hook:
             self._next_hook = fire
+
+    def clear_hooks(self) -> None:
+        """Drop every periodic hook (and whatever it keeps alive)."""
+        self._hooks = []
+        self._next_hook = -1
 
     def set_priorities(self, prio_p: int, prio_s: int) -> None:
         """Set both thread priorities with hypervisor authority."""

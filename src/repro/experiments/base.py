@@ -198,6 +198,8 @@ class ExperimentContext:
     #: cache keys.
     backend: object = field(default=None, repr=False)
     _cache: dict = field(init=False, default_factory=dict, repr=False)
+    #: :meth:`twin` memo, config -> context.
+    _twins: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -205,6 +207,21 @@ class ExperimentContext:
             self.config, min_repetitions=self.min_repetitions,
             maiv=self.maiv, max_cycles=self.max_cycles)
         self._sampler = None
+
+    def twin(self, config: CoreConfig | None = None) -> "ExperimentContext":
+        """A PMU-instrumented, ungoverned twin on ``config`` (default: own).
+
+        For experiments whose cells this context cannot own.  The twin
+        shares the simcache and backend, so its cells land in (and are
+        served from) the same store as a direct run; it is memoised per
+        config, so repeated calls reuse one twin and its memory cache.
+        """
+        config = config or self.config
+        if config not in self._twins:
+            self._twins[config] = dataclasses.replace(
+                self, config=config, pmu=True, governor=None,
+                chip_governor=None)
+        return self._twins[config]
 
     def spec(self) -> dict:
         """Every field a cell's value depends on, as plain JSON.

@@ -31,8 +31,6 @@ depend on them.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.experiments.base import (
     ExperimentContext,
     governed_cell,
@@ -87,21 +85,8 @@ def _ready(ctx: ExperimentContext) -> bool:
 
 
 def _energy_ctx(ctx: ExperimentContext) -> ExperimentContext:
-    """``ctx`` if it can own the cells, else a PMU-enabled twin.
-
-    The twin shares the persistent simcache and backend, so its cells
-    land in (and are served from) the same store as a direct
-    ``power5-repro dse`` run; it is memoised on the context so
-    repeated calls reuse one twin and its in-memory cache.
-    """
-    if _ready(ctx):
-        return ctx
-    twin = getattr(ctx, "_energy_twin", None)
-    if twin is None:
-        twin = dataclasses.replace(ctx, pmu=True, governor=None,
-                                   chip_governor=None)
-        ctx._energy_twin = twin
-    return twin
+    """``ctx`` if it can own the cells, else its PMU-enabled twin."""
+    return ctx if _ready(ctx) else ctx.twin()
 
 
 def cells(ctx: ExperimentContext, pairs: tuple = DSE_PAIRS,

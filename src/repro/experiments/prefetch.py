@@ -32,8 +32,6 @@ cell embeds the policy's starting knobs in its key params.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.experiments.base import (
     ExperimentContext,
     governed_cell,
@@ -88,20 +86,10 @@ def _ready(ctx: ExperimentContext) -> bool:
 
 
 def _base_ctx(ctx: ExperimentContext) -> ExperimentContext:
-    """``ctx`` if it can own the cells, else a suitable twin.
-
-    The twin shares the persistent simcache and backend, so its cells
-    land in (and are served from) the same store as a direct
-    ``power5-repro prefetch`` run; it is memoised on the context so
-    repeated calls reuse one twin and its in-memory cache.
-    """
+    """``ctx`` if it can own the cells, else its default-off twin."""
     if _ready(ctx):
         return ctx
-    twin = getattr(ctx, "_prefetch_base_twin", None)
-    if twin is None:
-        twin = _twin(ctx, ctx.config.replace(prefetch=PrefetchConfig()))
-        ctx._prefetch_base_twin = twin
-    return twin
+    return ctx.twin(ctx.config.replace(prefetch=PrefetchConfig()))
 
 
 def _point_ctx(ctx: ExperimentContext, depth: int,
@@ -111,24 +99,11 @@ def _point_ctx(ctx: ExperimentContext, depth: int,
     A context owns exactly one machine configuration, and the prefetch
     knobs are part of it (they change simulated timelines, so they
     must be part of every cell fingerprint -- which they are, through
-    the config fingerprint).  Twins share the base context's simcache
-    and backend and are memoised per point.
+    the config fingerprint).
     """
     base = _base_ctx(ctx)
-    twins = getattr(base, "_prefetch_point_twins", None)
-    if twins is None:
-        twins = base._prefetch_point_twins = {}
-    key = (depth, degree)
-    if key not in twins:
-        config = base.config.replace(prefetch=PrefetchConfig(
-            enabled=(True, True), depth=depth, degree=degree))
-        twins[key] = _twin(base, config)
-    return twins[key]
-
-
-def _twin(ctx: ExperimentContext, config) -> ExperimentContext:
-    return dataclasses.replace(ctx, config=config, pmu=True, governor=None,
-                               chip_governor=None)
+    return base.twin(base.config.replace(prefetch=PrefetchConfig(
+        enabled=(True, True), depth=depth, degree=degree)))
 
 
 def _matrix_cells(pairs: tuple = PREFETCH_PAIRS,

@@ -90,6 +90,9 @@ class SoftwarePipeline:
         while (core.thread(1).completed_repetitions < iterations
                and core.cycle < max_cycles):
             core.step(4096)
+        # The reused core must not keep the governor alive until the
+        # next run reloads it.
+        core.clear_hooks()
 
         cons = core.thread(1).rep_end_times
         prod = core.thread(0).rep_end_times

@@ -111,7 +111,8 @@ def test_uninstrumented_context_measures_through_twin():
     rep = run_dse(ctx, pairs=(("cpu_int", "ldint_mem"),),
                   priorities=((1, 1), (4, 4)), nodes=(45,),
                   freqs=(1.0,), cores=(1,))
-    twin = ctx._energy_twin
+    twin = ctx.twin()
     assert twin is not ctx and twin.pmu and twin.governor is None
+    assert twin.cached_runs() > 0  # run_dse measured through this twin
     assert rep.data["points"]
     assert ctx.cached_runs() == 0  # owner context stayed untouched

@@ -5,7 +5,8 @@ cell only as cyclic garbage inflates peak RSS until the cyclic
 collector happens to run.  Each cell kind is computed with the
 collector disabled; every core it built must be freed by reference
 counting alone.  A software pipeline keeps one core for all its runs,
-which must die with the pipeline.
+which must die with the pipeline; a governed run's governor must die
+when the run returns.
 """
 
 import gc
@@ -68,5 +69,21 @@ def test_pipeline_frees_its_core_without_gc():
         core = weakref.ref(pipe._core)
         del pipe
         assert core() is None
+    finally:
+        gc.enable()
+
+
+def test_pipeline_releases_its_governor_after_run():
+    pipe = SoftwarePipeline(config=POWER5.small())
+    cfg = GovernorConfig(epoch=2048)
+    governor = Governor(cfg, PipelinePolicy(cfg))
+    gone = weakref.ref(governor)
+    gc.collect()
+    gc.disable()
+    try:
+        pipe.run((4, 4), iterations=4, warmup=1, governor=governor)
+        del governor
+        assert gone() is None
+        assert pipe._core is not None
     finally:
         gc.enable()
