@@ -16,11 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.config import POWER5, CoreConfig
 from repro.fame import FameRunner
-from repro.workloads.tracecache import cached_workload
-
-#: Address offset separating the secondary thread's data from the
-#: primary's (distinct processes on the real machine).
-SECONDARY_BASE = (1 << 27) + 8192
+from repro.workloads.tracecache import SECONDARY_BASE, cached_workload
 
 #: Priority pairs realising each priority difference, using the
 #: supervisor-settable range 1..6 exposed by the paper's kernel patch.
@@ -111,6 +107,10 @@ class PairMetrics:
         return self.pmu.energy(config)
 
 
+#: FAME parameters of :meth:`ExperimentContext.probe_context`.
+PROBE_RUNNER = {"min_repetitions": 2, "maiv": 0.02, "max_cycles": 400_000}
+
+
 def single_cell(name: str) -> tuple:
     """Cache key of a single-thread measurement cell."""
     return ("single", name)
@@ -198,15 +198,15 @@ class ExperimentContext:
     #: cache keys.
     backend: object = field(default=None, repr=False)
     _cache: dict = field(init=False, default_factory=dict, repr=False)
-    #: :meth:`twin` memo, config -> context.
-    _twins: dict = field(init=False, default_factory=dict, repr=False)
+    #: Derived-context memo: ``("twin", config)`` -> :meth:`twin`,
+    #: ``("probe",)`` -> :meth:`probe_context`.
+    _derived: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.validate()
         self.runner = FameRunner(
             self.config, min_repetitions=self.min_repetitions,
             maiv=self.maiv, max_cycles=self.max_cycles)
-        self._sampler = None
 
     def twin(self, config: CoreConfig | None = None) -> "ExperimentContext":
         """A PMU-instrumented, ungoverned twin on ``config`` (default: own).
@@ -217,11 +217,31 @@ class ExperimentContext:
         config, so repeated calls reuse one twin and its memory cache.
         """
         config = config or self.config
-        if config not in self._twins:
-            self._twins[config] = dataclasses.replace(
+        key = ("twin", config)
+        if key not in self._derived:
+            self._derived[key] = dataclasses.replace(
                 self, config=config, pmu=True, governor=None,
                 chip_governor=None)
-        return self._twins[config]
+        return self._derived[key]
+
+    def probe_context(self) -> "ExperimentContext":
+        """The context whose pair cells are chip placement probes.
+
+        Adaptive allocation policies rank placements by short co-runs,
+        which an OS gathers from PMU-sampled runs.  A probe is a pair
+        cell with capped FAME parameters (:data:`PROBE_RUNNER`) on a
+        bare core -- deliberately *without* the chip's shared bus, the
+        way an OS samples per-core counters that cannot see cross-core
+        contention.  Probes are uninstrumented, ungoverned, computed
+        in-process and kept in memory only (a warm run reads the chip
+        cell, never its probes).  Memoised, so each probe runs once.
+        """
+        key = ("probe",)
+        if key not in self._derived:
+            self._derived[key] = dataclasses.replace(
+                self, pmu=False, pmu_sample=0, governor=None,
+                simcache=None, backend=None, **PROBE_RUNNER)
+        return self._derived[key]
 
     def spec(self) -> dict:
         """Every field a cell's value depends on, as plain JSON.
@@ -324,13 +344,6 @@ class ExperimentContext:
             node=self.energy_node if node is None else node,
             freq_frac=self.energy_freq if freq_frac is None else freq_frac,
             base_clock_ghz=self.config.clock_hz / 1e9)
-
-    def chip_sampler(self):
-        """The lazily built symbiosis sampler shared by chip cells."""
-        if self._sampler is None:
-            from repro.sched import SymbiosisSampler
-            self._sampler = SymbiosisSampler(self.config)
-        return self._sampler
 
     def _workload(self, name: str, base_address: int = 0):
         return cached_workload(name, self.config, base_address)

@@ -24,6 +24,10 @@ memory-bound jobs across cores -- both cores then stress the shared
 memory channel concurrently -- while the adaptive policies discover
 the placement (and, for ``priority_aware``, the priority assignment)
 that minimises the predicted makespan.
+
+The adaptive policies predict from probes: ordinary pair cells of the
+computing context's :meth:`~ExperimentContext.probe_context`, each run
+once however many chip cells ask for it.
 """
 
 from __future__ import annotations
@@ -79,10 +83,9 @@ def compute_chip_cell(ctx: ExperimentContext, key: tuple) -> ScheduleResult:
     """Simulate one scheduled chip run (no cache involvement)."""
     _, mix, policy_name, n_cores, quota = key
     chip = Chip(ChipConfig(core=ctx.config, n_cores=n_cores))
-    policy = make_allocation_policy(policy_name)
     scheduler = OsScheduler(
-        chip, policy,
-        sampler=ctx.chip_sampler() if policy.needs_sampler else None,
+        chip, make_allocation_policy(policy_name),
+        probes=ctx.probe_context(),
         max_cycles=ctx.max_cycles * 8,
         governor=ctx.chip_governor,
         governor_epoch=ctx.governor_epoch)

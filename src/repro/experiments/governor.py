@@ -39,6 +39,7 @@ from repro.experiments.report import (
     render_decision_log,
     render_table,
 )
+from repro.experiments.table4 import PIPELINE_PRIORITIES
 from repro.workloads.pipeline import SoftwarePipeline
 
 #: The co-schedule pairs the governor is evaluated on: a compute
@@ -61,9 +62,6 @@ INITIAL = (4, 4)
 
 #: Static assignments swept for the baseline (the paper's ladder).
 STATIC_LADDER = tuple(dict.fromkeys(PRIORITY_PAIRS.values()))
-
-#: Pipeline static assignments (Table 4's hand-tuned set).
-PIPELINE_LADDER = ((4, 4), (5, 4), (6, 4), (6, 3))
 
 #: Relative tolerance for "matches best static": measurement windows
 #: of governed and static runs differ (FAME repetition boundaries
@@ -177,7 +175,7 @@ def run_governor(ctx: ExperimentContext | None = None,
     pipe_data = _run_pipeline(ctx, pipeline_iterations)
     data["pipeline"] = pipe_data
     rows = [(f"static {prio}", r["fft"], r["lu"], r["iteration"], "-")
-            for prio, r in zip(PIPELINE_LADDER, pipe_data["static"])]
+            for prio, r in zip(PIPELINE_PRIORITIES, pipe_data["static"])]
     gov = pipe_data["governed"]
     rows.append((f"pipeline policy {INITIAL}->"
                  f"{gov['final_priorities']}",
@@ -220,7 +218,7 @@ def _run_pipeline(ctx: ExperimentContext, iterations: int) -> dict:
     pipe = SoftwarePipeline(config=ctx.config)
     max_cycles = ctx.max_cycles * 4
     static = []
-    for prio in PIPELINE_LADDER:
+    for prio in PIPELINE_PRIORITIES:
         run = pipe.run(priorities=prio, iterations=iterations,
                        max_cycles=max_cycles)
         static.append({"priorities": prio,

@@ -12,7 +12,6 @@ from repro.sched.policies import (
     SymbiosisPolicy,
     make_allocation_policy,
 )
-from repro.sched.sampler import SymbiosisSampler
 from repro.sched.scheduler import (
     CHIP_GOVERNOR_POLICIES,
     OsScheduler,
@@ -36,6 +35,5 @@ __all__ = [
     "ScheduleResult",
     "SchedulerDecision",
     "SymbiosisPolicy",
-    "SymbiosisSampler",
     "make_allocation_policy",
 ]

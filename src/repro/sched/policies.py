@@ -11,7 +11,7 @@ grafted onto this paper's priority mechanism):
 ``round_robin``
     Static baseline: pair jobs in queue order at neutral (4, 4).
 ``symbiosis``
-    Greedy best-friend pairing by sampled pair throughput: repeatedly
+    Greedy best-friend pairing by probed pair throughput: repeatedly
     co-schedule the two remaining jobs whose probed combined IPC is
     highest, at (4, 4).
 ``priority_aware``
@@ -23,6 +23,13 @@ grafted onto this paper's priority mechanism):
     Transparent consolidation (paper section 6.3): each background job
     rides behind a foreground job at (6, 1); leftovers pair among
     themselves at (4, 4).
+
+The two adaptive policies read short co-run measurements from a
+``probes`` object: ``probes.pair(a, b, priorities)`` measures ``a`` in
+slot 0 beside ``b`` in slot 1 and returns a value with ``total_ipc``
+and per-thread ``primary``/``secondary`` ``avg_rep_cycles`` -- the
+chip experiment passes its context's probe context, whose pair cells
+are :class:`repro.experiments.base.PairMetrics`.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sched.jobs import Job
-from repro.sched.sampler import SymbiosisSampler
 
 
 @dataclass(frozen=True)
@@ -59,11 +65,7 @@ class AllocationPolicy:
     #: Registry name, set on subclasses.
     name = "abstract"
 
-    #: Whether :meth:`plan` needs a :class:`SymbiosisSampler`.
-    needs_sampler = False
-
-    def plan(self, jobs: list[Job],
-             sampler: SymbiosisSampler | None = None) -> list[RoundPlan]:
+    def plan(self, jobs: list[Job], probes=None) -> list[RoundPlan]:
         raise NotImplementedError
 
     @staticmethod
@@ -77,8 +79,7 @@ class RoundRobinPolicy(AllocationPolicy):
 
     name = "round_robin"
 
-    def plan(self, jobs: list[Job],
-             sampler: SymbiosisSampler | None = None) -> list[RoundPlan]:
+    def plan(self, jobs: list[Job], probes=None) -> list[RoundPlan]:
         plans = []
         queue = list(jobs)
         while len(queue) >= 2:
@@ -94,20 +95,19 @@ class SymbiosisPolicy(AllocationPolicy):
     """Greedy best-friend pairing by sampled pair throughput."""
 
     name = "symbiosis"
-    needs_sampler = True
 
-    def plan(self, jobs: list[Job],
-             sampler: SymbiosisSampler | None = None) -> list[RoundPlan]:
-        if sampler is None:
-            raise ValueError(f"{self.name} policy requires a sampler")
+    def plan(self, jobs: list[Job], probes=None) -> list[RoundPlan]:
+        if probes is None:
+            raise ValueError(f"{self.name} policy requires a pair "
+                             "sampler (probes)")
         plans = []
         queue = list(jobs)
         while len(queue) >= 2:
             best = None
             for i in range(len(queue)):
                 for j in range(i + 1, len(queue)):
-                    score = sampler.pair_total_ipc(queue[i].name,
-                                                   queue[j].name)
+                    score = probes.pair(queue[i].name, queue[j].name,
+                                        (4, 4)).total_ipc
                     if best is None or score > best[0]:
                         best = (score, i, j)
             score, i, j = best
@@ -125,12 +125,11 @@ class PriorityAwarePolicy(AllocationPolicy):
     """Joint pair + priority choice minimising predicted makespan."""
 
     name = "priority_aware"
-    needs_sampler = True
 
-    def plan(self, jobs: list[Job],
-             sampler: SymbiosisSampler | None = None) -> list[RoundPlan]:
-        if sampler is None:
-            raise ValueError(f"{self.name} policy requires a sampler")
+    def plan(self, jobs: list[Job], probes=None) -> list[RoundPlan]:
+        if probes is None:
+            raise ValueError(f"{self.name} policy requires a pair "
+                             "sampler (probes)")
         plans = []
         queue = list(jobs)
         while len(queue) >= 2:
@@ -139,9 +138,14 @@ class PriorityAwarePolicy(AllocationPolicy):
                 for j in range(i + 1, len(queue)):
                     a, b = queue[i], queue[j]
                     for prios in PROBE_LADDER:
-                        span = sampler.predicted_makespan(
-                            a.name, a.repetitions,
-                            b.name, b.repetitions, prios)
+                        # The pair runs until the slower job's quota
+                        # completes; maximising probe IPC alone can
+                        # starve the longer job and lengthen the round.
+                        probe = probes.pair(a.name, b.name, prios)
+                        span = max(
+                            probe.primary.avg_rep_cycles * a.repetitions,
+                            probe.secondary.avg_rep_cycles
+                            * b.repetitions)
                         if best is None or span < best[0]:
                             best = (span, i, j, prios)
             span, i, j, prios = best
@@ -160,8 +164,7 @@ class BackgroundPolicy(AllocationPolicy):
 
     name = "background"
 
-    def plan(self, jobs: list[Job],
-             sampler: SymbiosisSampler | None = None) -> list[RoundPlan]:
+    def plan(self, jobs: list[Job], probes=None) -> list[RoundPlan]:
         fg = [j for j in jobs if not j.background]
         bg = [j for j in jobs if j.background]
         plans = []

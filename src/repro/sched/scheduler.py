@@ -29,9 +29,8 @@ from repro.governor import GovernorConfig, Governor, make_policy
 from repro.pmu.counters import CounterBank
 from repro.sched.jobs import BoundedSource, Job, JobRun
 from repro.sched.policies import AllocationPolicy, RoundPlan
-from repro.sched.sampler import PROBE_SECONDARY_BASE, SymbiosisSampler
 from repro.syskernel import ChipKernel
-from repro.workloads.tracecache import cached_workload
+from repro.workloads.tracecache import SECONDARY_BASE, cached_workload
 
 #: Governor policies a chip run may use: only those that need no
 #: per-workload parameters (``transparent`` requires a measured
@@ -90,10 +89,13 @@ class ScheduleResult:
 
 
 class OsScheduler:
-    """Dispatches a job queue onto a :class:`repro.chip.Chip`."""
+    """Dispatches a job queue onto a :class:`repro.chip.Chip`.
+
+    ``probes`` feeds the adaptive policies (:mod:`repro.sched.policies`).
+    """
 
     def __init__(self, chip: Chip, policy: AllocationPolicy, *,
-                 sampler: SymbiosisSampler | None = None,
+                 probes=None,
                  quantum: int | None = None,
                  max_cycles: int = 50_000_000,
                  governor: str | None = None,
@@ -105,7 +107,7 @@ class OsScheduler:
                 f"{CHIP_GOVERNOR_POLICIES}, got {governor!r}")
         self.chip = chip
         self.policy = policy
-        self.sampler = sampler
+        self.probes = probes
         self.quantum = quantum or chip.config.sync_quantum
         self.max_cycles = max_cycles
         self.governor = governor
@@ -116,10 +118,8 @@ class OsScheduler:
         """Execute every job to its repetition quota; exact accounting."""
         if not jobs:
             raise ValueError("job queue is empty")
-        if self.policy.needs_sampler and self.sampler is None:
-            self.sampler = SymbiosisSampler(self.chip.config.core)
         chip = self.chip
-        plan = list(self.policy.plan(list(jobs), self.sampler))
+        plan = list(self.policy.plan(list(jobs), self.probes))
         kernel = ChipKernel(chip)
         decisions: list[SchedulerDecision] = []
         runs: list[JobRun] = []
@@ -136,7 +136,7 @@ class OsScheduler:
             entry = plan.pop(0)
             sources = [None, None]
             for slot, job in enumerate(entry.jobs):
-                base = 0 if slot == 0 else PROBE_SECONDARY_BASE
+                base = 0 if slot == 0 else SECONDARY_BASE
                 sources[slot] = BoundedSource(
                     cached_workload(job.name, chip.config.core,
                                     base_address=base),

@@ -24,6 +24,13 @@ from repro.isa.trace import TraceSource
 from repro.microbench import make_microbenchmark
 from repro.workloads.spec import SPEC_PROFILES, make_spec_workload
 
+#: Base address of a co-scheduled secondary thread's data, separating
+#: it from the primary's (distinct processes on the real machine).
+#: Every layer that places a second thread -- measurement cells, chip
+#: probes, the OS scheduler's slot 1 -- uses this one offset, so their
+#: traces are built once and shared.
+SECONDARY_BASE = (1 << 27) + 8192
+
 #: (name, base_address, config fingerprint) -> built TraceSource.
 #: Version of the cached-result schema.  Bump whenever the shape of
 #: what simulations produce from a cached source changes in a way that

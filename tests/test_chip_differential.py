@@ -114,7 +114,8 @@ def test_scheduled_run_engine_bit_identity(configs, governor):
 def test_serial_vs_parallel_chip_cells(config):
     """Chip sweep cells are byte-identical serially and on two workers."""
     cells = [chip_cell("spec", "round_robin", 2, 2),
-             chip_cell("background", "background", 2, 2)]
+             chip_cell("background", "background", 2, 2),
+             chip_cell("spec", "symbiosis", 2, 2)]
     kwargs = dict(config=config, min_repetitions=2,
                   max_cycles=300_000, chip_quota=2,
                   chip_governor="ipc_balance", governor_epoch=200)

@@ -31,6 +31,7 @@ CELLS = {
         "cpu_int", "ldint_mem", (4, 4), "prefetch_adapt",
         {"depth": 4, "degree": 2}),
     "chip_round_robin": chip_cell("spec", "round_robin", 2, 1),
+    "chip_symbiosis": chip_cell("spec", "symbiosis", 2, 1),
 }
 
 

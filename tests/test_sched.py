@@ -6,6 +6,10 @@ import pytest
 
 from repro.chip import Chip, ChipConfig
 from repro.experiments import ExperimentContext
+from repro.experiments.base import PROBE_RUNNER, PairMetrics, ThreadMetrics
+from repro.experiments.chip import chip_cell
+from repro.experiments.parallel import PoolBackend
+from repro.fame import FameRunner
 from repro.microbench import make_microbenchmark
 from repro.sched import (
     BoundedSource,
@@ -14,6 +18,7 @@ from repro.sched import (
     RoundPlan,
     make_allocation_policy,
 )
+from repro.simcache import SimCache
 
 
 # ----------------------------------------------------------------------
@@ -45,39 +50,34 @@ class TestJobs:
 
 
 # ----------------------------------------------------------------------
-# Allocation policies (with a stub sampler: no simulation needed)
+# Allocation policies (with stub probes: no simulation needed)
 # ----------------------------------------------------------------------
 
 
-class StubSampler:
+class StubProbes:
     """Deterministic probe data: compute pairs 'friend', memory clash.
 
     Pair IPC is the sum of per-job solo IPCs, scaled down when both
-    jobs are memory-bound; per-rep cycles stretch accordingly.
+    jobs are memory-bound; per-rep cycles stretch accordingly.  Like
+    a probe context, :meth:`pair` returns :class:`PairMetrics`.
     """
 
     SOLO = {"cpu_a": (1.0, 1000.0), "cpu_b": (0.9, 1100.0),
             "mem_a": (0.2, 5000.0), "mem_b": (0.15, 5200.0)}
 
-    def single(self, name):
-        return self.SOLO[name]
-
-    def pair(self, a, b, priorities=(4, 4)):
+    def pair(self, a, b, priorities):
         (ipc_a, rep_a), (ipc_b, rep_b) = self.SOLO[a], self.SOLO[b]
         clash = 2.0 if (a.startswith("mem") and b.startswith("mem")) \
             else 1.0
         boost = 1.0 + 0.05 * (priorities[0] - priorities[1])
-        return ((ipc_a / clash * boost, rep_a * clash / boost),
-                (ipc_b / clash / boost, rep_b * clash * boost))
-
-    def pair_total_ipc(self, a, b, priorities=(4, 4)):
-        (ia, _), (ib, _) = self.pair(a, b, priorities)
-        return ia + ib
-
-    def predicted_makespan(self, a, reps_a, b, reps_b,
-                           priorities=(4, 4)):
-        (_, ra), (_, rb) = self.pair(a, b, priorities)
-        return max(ra * reps_a, rb * reps_b)
+        return PairMetrics(
+            priorities=priorities,
+            primary=ThreadMetrics(a, priorities[0], ipc_a / clash * boost,
+                                  rep_a * clash / boost, 4),
+            secondary=ThreadMetrics(b, priorities[1],
+                                    ipc_b / clash / boost,
+                                    rep_b * clash * boost, 4),
+            cycles=0)
 
 
 JOBS = [Job("cpu_a", 4), Job("mem_a", 4), Job("cpu_b", 4),
@@ -104,7 +104,7 @@ class TestPolicies:
 
     def test_symbiosis_pairs_best_friends(self):
         plans = make_allocation_policy("symbiosis").plan(
-            list(JOBS), StubSampler())
+            list(JOBS), StubProbes())
         pairs = [frozenset(j.name for j in p.jobs) for p in plans]
         # Greedy max pair IPC: the two compute jobs first, leaving the
         # memory jobs together (the stub penalizes mem+mem IPC, but
@@ -119,7 +119,7 @@ class TestPolicies:
     def test_priority_aware_balances_with_priorities(self):
         from repro.sched import PROBE_LADDER
         plans = make_allocation_policy("priority_aware").plan(
-            list(JOBS), StubSampler())
+            list(JOBS), StubProbes())
         by_pair = {frozenset(j.name for j in p.jobs): p.priorities
                    for p in plans}
         assert all(p in PROBE_LADDER for p in by_pair.values())
@@ -151,7 +151,7 @@ class TestPolicies:
         jobs = list(JOBS) + [Job("cpu_a", 2), Job("mem_b", 3,
                                                   background=True)]
         plans = make_allocation_policy(policy).plan(
-            jobs, StubSampler())
+            jobs, StubProbes())
         scheduled = [j for p in plans for j in p.jobs]
         assert sorted(id(j) for j in scheduled) == sorted(
             id(j) for j in jobs)
@@ -234,6 +234,53 @@ class TestScheduler:
         assert sum(c["PM_INST_CMPL"] for c in per_core) == \
             chip_totals["PM_INST_CMPL"]
         assert len(res.bus) == 2
+
+
+# ----------------------------------------------------------------------
+# Chip probes: pair cells of a bare, memoised probe context
+# ----------------------------------------------------------------------
+
+
+class TestProbeContext:
+    def test_probes_are_bare_private_pair_cells(self, config, tmp_path,
+                                                monkeypatch):
+        cache = SimCache(tmp_path)
+        parent = ExperimentContext(
+            config=config, min_repetitions=3, maiv=0.01,
+            max_cycles=300_000, pmu=True, pmu_sample=1024,
+            governor="ipc_balance", chip_quota=1, simcache=cache,
+            backend=PoolBackend(2))
+        probes = parent.probe_context()
+        assert probes is parent.probe_context()
+        assert (probes.min_repetitions, probes.maiv, probes.max_cycles) == (
+            PROBE_RUNNER["min_repetitions"], PROBE_RUNNER["maiv"],
+            PROBE_RUNNER["max_cycles"]) == (2, 0.02, 400_000)
+        assert probes.config == parent.config
+        assert not probes.pmu and probes.pmu_sample == 0
+        assert probes.governor is None
+        assert probes.simcache is None and probes.backend is None
+
+        parent.cell(chip_cell("spec", "priority_aware", 2, 1))
+        assert probes.cached_runs() > 0
+        assert parent.cached_runs() == 1
+        assert parent.pmu_reports() == []
+        assert cache.stores == 1
+
+        runs = []
+        run_pair = FameRunner.run_pair
+
+        def counting(self, *args, **kwargs):
+            runs.append(args)
+            return run_pair(self, *args, **kwargs)
+
+        monkeypatch.setattr(FameRunner, "run_pair", counting)
+        before = probes.cached_runs()
+        res = parent.cell(chip_cell("spec", "symbiosis", 2, 1))
+        assert res.jobs
+        assert runs == []
+        assert probes.cached_runs() == before
+        assert parent.cached_runs() == 2
+        assert cache.stores == 2
 
 
 # ----------------------------------------------------------------------
